@@ -1,7 +1,7 @@
 """Multi-view linear feature extraction with dual contrastive losses."""
 
-from .data import (MultiViewDataset, PaddedViewMatrix, SplitSpec, load_views,
-                   save_views, split, stack_padded, standardize, synth_blobs)
+from .data import (MultiViewDataset, SplitSpec, load_views, save_views, split,
+                   standardize, synth_blobs)
 from .diagnostics import (column_sum_residual, cross_view_alignment,
                           laplacian_equivalence_gap, scatter_matrix)
 from .errors import ConfigError, DataError, MvError, NumericError

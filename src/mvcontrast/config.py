@@ -7,7 +7,7 @@ reproduced exactly.
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from . import data
@@ -24,21 +24,11 @@ _SYNTH_DEFAULTS = {
     "center_scale": 3.0,
 }
 
-_HYPER_DEFAULTS = {
-    "d": 2,
-    "lambda": 1.0,
-    "alpha": 1.0,
-    "beta": 1.0,
-    "tau1": 1.0,
-    "tau2": 1.0,
-    "gamma": 0.001,
-    "b1": 0.9,
-    "b2": 0.999,
-    "eps_adam": 1e-8,
-    "norm_eps": 1e-12,
-    "tol": 1e-3,
-    "max_iters": 500,
-}
+# Hyperparams' own defaults, spelled `lambda` for `lam`; d, which
+# Hyperparams requires, defaults to 2 in a config
+_HYPER_DEFAULTS = {("lambda" if f.name == "lam" else f.name):
+                   (2 if f.name == "d" else f.default)
+                   for f in fields(Hyperparams)}
 
 _EXPERIMENT_DEFAULTS = {
     "M": [4],
@@ -49,7 +39,7 @@ _EXPERIMENT_DEFAULTS = {
 
 _OUTPUT_DEFAULTS = {
     "dir": ".",
-    "formats": ["csv", "txt"],
+    "formats": ["csv", "txt"],  # every format there is
 }
 
 
@@ -120,6 +110,8 @@ def build_config(raw):
     view_paths = None
     label_path = dataset.get("labels")
     if has_synth:
+        if label_path is not None:
+            raise ConfigError("dataset.labels cannot be given with dataset.synth")
         synth = _merge("dataset.synth", _SYNTH_DEFAULTS, dataset["synth"])
         if len(synth["dims"]) != synth["V"]:
             raise ConfigError("dataset.synth: dims length must equal V")
@@ -144,6 +136,10 @@ def build_config(raw):
         raise ConfigError(f"experiment.repeats must be >= 1, got {repeats}")
 
     output = _merge("output", _OUTPUT_DEFAULTS, raw.get("output", {}))
+    known, formats = _OUTPUT_DEFAULTS["formats"], output["formats"]
+    if not isinstance(formats, list) or any(f not in known for f in formats):
+        raise ConfigError(
+            f"output.formats must be a list drawn from {known}, got {formats!r}")
 
     resolved = {
         "dataset": {

@@ -1,9 +1,11 @@
-"""Multi-view data: loading, validation, synthesis, splitting, zero-padding.
+"""Multi-view data: matrix files, validation, synthesis, splitting.
 
 On disk a view is CSV with one row per sample; in memory every view is kept
-feature-major (D_m x n) so each sample is a column vector.
+feature-major (D_m x n) so each sample is a column vector.  `read_matrix`
+and `write_matrix` are the only code that knows the on-disk matrix format.
 """
 
+import itertools
 import os
 from dataclasses import dataclass, field
 from typing import Optional
@@ -11,10 +13,6 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, DataError
-
-# %.17g round-trips IEEE-754 doubles exactly through text
-CSV_FLOAT_FORMAT = "%.17g"
-
 
 @dataclass
 class MultiViewDataset:
@@ -69,15 +67,6 @@ class MultiViewDataset:
 
 
 @dataclass
-class PaddedViewMatrix:
-    """One view embedded in the stacked D x n frame, zero elsewhere."""
-
-    data: np.ndarray
-    source_view: int
-    offset: int
-
-
-@dataclass
 class SplitSpec:
     per_class: int
     seed: int
@@ -88,36 +77,36 @@ class SplitSpec:
             raise ConfigError(f"per_class must be >= 1, got {self.per_class}")
 
 
-def _read_matrix_csv(path):
+def read_matrix(path):
+    """Read a CSV matrix file into a 2-D float array.
+
+    Blank and whitespace-only lines are skipped; every other line must hold
+    the same number of comma-separated numbers.  `#` is not a comment.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+            rows = (line for line in fh if line.strip())
+            first = next(rows, None)
+            if first is None:
+                raise DataError(f"{path}: empty file")
+            return np.loadtxt(itertools.chain([first], rows), delimiter=",",
+                              ndmin=2, comments=None)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    rows = []
-    width = None
-    for r, line in enumerate(lines):
-        cells = line.split(",")
-        if width is None:
-            width = len(cells)
-        elif len(cells) != width:
-            raise DataError(f"{path}: row {r} has {len(cells)} columns, expected {width}")
-        parsed = []
-        for c, cell in enumerate(cells):
-            try:
-                parsed.append(float(cell))
-            except ValueError:
-                raise DataError(
-                    f"{path}: non-numeric cell at row {r}, col {c}: {cell!r}") from None
-        rows.append(parsed)
-    if not rows:
-        raise DataError(f"{path}: empty file")
-    return np.array(rows, dtype=float)
+    except ValueError as exc:
+        # ragged row, non-numeric cell or bad UTF-8; numpy names row and column
+        raise DataError(f"{path}: {exc}") from None
+
+
+def write_matrix(path, matrix):
+    """Write a 2-D array as CSV that `read_matrix` reads back bit-exactly."""
+    # %.17g round-trips IEEE-754 doubles exactly through text
+    np.savetxt(path, matrix, fmt="%.17g", delimiter=",")
 
 
 def load_views(view_paths, label_path=None):
     """Read sample-major CSV views (and optional labels) into a dataset."""
-    matrices = [_read_matrix_csv(p) for p in view_paths]
+    matrices = [read_matrix(p) for p in view_paths]
     n_rows = {m.shape[0] for m in matrices}
     if len(n_rows) > 1:
         counts = ", ".join(f"{p}: {m.shape[0]}" for p, m in zip(view_paths, matrices))
@@ -126,7 +115,7 @@ def load_views(view_paths, label_path=None):
         raise DataError(f"need at least 2 samples, got {matrices[0].shape[0]}")
     labels = None
     if label_path is not None:
-        raw = _read_matrix_csv(label_path)
+        raw = read_matrix(label_path)
         if raw.shape[1] != 1:
             raise DataError(f"{label_path}: expected one integer per line")
         if not np.all(raw == np.round(raw)):
@@ -147,30 +136,18 @@ def save_views(ds, out_dir, basenames=None):
     paths = []
     for name, view in zip(basenames, ds.views):
         path = os.path.join(out_dir, f"{name}.csv")
-        np.savetxt(path, view.T, fmt=CSV_FLOAT_FORMAT, delimiter=",")
+        write_matrix(path, view.T)
         paths.append(path)
     label_path = None
     if ds.labels is not None:
         label_path = os.path.join(out_dir, "labels.csv")
-        np.savetxt(label_path, ds.labels[:, None], fmt="%d", delimiter=",")
+        write_matrix(label_path, ds.labels[:, None])
     return paths, label_path
 
 
 def view_offsets(view_dims):
     """Row offset of each view block inside the stacked D x n frame."""
     return [int(o) for o in np.concatenate([[0], np.cumsum(view_dims)[:-1]])]
-
-
-def stack_padded(ds, m):
-    """Embed view m into the stacked frame, zero outside its row block."""
-    if not 0 <= m < ds.V:
-        raise IndexError(f"view index {m} out of range for V={ds.V}")
-    dims = ds.view_dims
-    offsets = view_offsets(dims)
-    D = sum(dims)
-    padded = np.zeros((D, ds.n))
-    padded[offsets[m]:offsets[m] + dims[m], :] = ds.views[m]
-    return PaddedViewMatrix(data=padded, source_view=m, offset=offsets[m])
 
 
 def _split_rng(spec):

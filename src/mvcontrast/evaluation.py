@@ -49,13 +49,19 @@ def knn_accuracy(train_emb, train_labels, test_emb, test_labels, k=1):
         raise DataError(
             f"embedding dims differ: train {train_emb.shape[0]}, "
             f"test {test_emb.shape[0]}")
+    train_labels, test_labels = np.asarray(train_labels), np.asarray(test_labels)
+    for name, labels, emb in (("train", train_labels, train_emb),
+                              ("test", test_labels, test_emb)):
+        if labels.shape != (emb.shape[1],):
+            raise DataError(
+                f"{name} labels of shape {labels.shape} for {emb.shape[1]} samples")
     sq_tr = np.sum(train_emb ** 2, axis=0)
     # squared distances, test rows x train cols; argmin takes the first
     # (smallest-index) minimizer
     d2 = sq_tr[None, :] - 2.0 * (test_emb.T @ train_emb)
     nearest = np.argmin(d2, axis=1)
-    predicted = np.asarray(train_labels)[nearest]
-    return float(np.mean(predicted == np.asarray(test_labels)))
+    predicted = train_labels[nearest]
+    return float(np.mean(predicted == test_labels))
 
 
 @dataclass

@@ -1,5 +1,7 @@
 """Hyperparameters for the dual contrastive objective and its optimizer."""
 
+import math
+import numbers
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
@@ -24,7 +26,8 @@ class Hyperparams:
     norm_eps : float
         Guard added to similarity denominators (near-zero coefficient norms).
     tol : float
-        Convergence threshold on the change of the total loss.
+        Convergence threshold on the change of the total loss; `inf` stops
+        after the first iteration.
     max_iters : int
         Cap on outer iterations.
     """
@@ -44,6 +47,10 @@ class Hyperparams:
     max_iters: int = 500
 
     def __post_init__(self):
+        for name, value in self.as_dict().items():
+            if not isinstance(value, numbers.Real) or not (
+                    abs(value) < math.inf or (name == "tol" and value == math.inf)):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
         if int(self.d) != self.d or self.d < 1:
             raise ConfigError(f"d must be a positive integer, got {self.d}")
         self.d = int(self.d)

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gradients, losses
-from .data import CSV_FLOAT_FORMAT
-from .errors import DataError, NumericError
+from .data import read_matrix, write_matrix
+from .errors import ConfigError, DataError, NumericError
 from .params import Hyperparams
 
 
@@ -90,19 +90,17 @@ def init_state(ds, h, seed):
     return state
 
 
-def sweep_W(state, ds, h, jacobi=False):
-    """One pass of per-column Adam updates over every w_i^m.
+def sweep_W(state, ds, h):
+    """One Gauss-Seidel pass of per-column Adam updates over every w_i^m.
 
-    Gauss-Seidel by default (in-place, later columns see earlier updates);
-    `jacobi=True` computes every gradient from the pre-sweep snapshot.
+    Columns are updated in place, so later columns see earlier updates.
     """
     W = state.W
-    grad_source = W.copy() if jacobi else W
     max_step = 0.0
     for m in range(W.V):
         for i in range(W.n):
             try:
-                g = gradients.grad_w(i, m, state.P, grad_source, ds, h)
+                g = gradients.grad_w(i, m, state.P, W, ds, h)
                 new_col, state.adam_W[m][i] = adam_step(
                     W.W[m][:, i], g, state.adam_W[m][i], h)
             except NumericError as exc:
@@ -113,13 +111,13 @@ def sweep_W(state, ds, h, jacobi=False):
     return state
 
 
-def fit(ds, h, seed, jacobi=False):
+def fit(ds, h, seed):
     """Run the alternating scheme to convergence; returns (Model, TrainState)."""
     t0 = time.perf_counter()
     state = init_state(ds, h, seed)
     converged = False
     while state.iter < h.max_iters:
-        sweep_W(state, ds, h, jacobi=jacobi)
+        sweep_W(state, ds, h)
         g = gradients.grad_P(state.P, state.W, ds, h)
         new_P, state.adam_P = adam_step(state.P.P, g, state.adam_P, h)
         state.last_max_step = max(state.last_max_step,
@@ -150,8 +148,7 @@ def save_model(model, out_dir, view_names=None):
     files = []
     for name, Pm in zip(view_names, model.projections):
         fname = f"projection_{name}.csv"
-        np.savetxt(os.path.join(out_dir, fname), Pm,
-                   fmt=CSV_FLOAT_FORMAT, delimiter=",")
+        write_matrix(os.path.join(out_dir, fname), Pm)
         files.append(fname)
     manifest = {
         "projection_files": files,
@@ -168,17 +165,27 @@ def save_model(model, out_dir, view_names=None):
 
 
 def load_model(model_dir):
+    """Read a model written by `save_model`; any defect is a DataError."""
     path = os.path.join(model_dir, "manifest.json")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
     except OSError as exc:
         raise DataError(f"cannot read model manifest {path}: {exc}") from exc
+    except ValueError as exc:
+        raise DataError(f"model manifest {path} is not valid JSON: {exc}") from None
+    try:
+        h = Hyperparams(**manifest["hyperparams"])
+        shapes = [(dim, manifest["d"]) for dim in manifest["view_dims"]]
+        paths = [os.path.join(model_dir, f) for f in manifest["projection_files"]]
+    except KeyError as exc:
+        raise DataError(f"model manifest {path} lacks key {exc}") from None
+    except (TypeError, ConfigError) as exc:
+        raise DataError(f"model manifest {path}: {exc}") from None
     projections = []
-    for fname, dim in zip(manifest["projection_files"], manifest["view_dims"]):
-        Pm = np.loadtxt(os.path.join(model_dir, fname), delimiter=",", ndmin=2)
-        if Pm.shape != (dim, manifest["d"]):
-            raise DataError(f"{fname}: shape {Pm.shape} does not match manifest")
+    for p, shape in zip(paths, shapes):
+        Pm = read_matrix(p)
+        if Pm.shape != shape:
+            raise DataError(f"{p}: shape {Pm.shape} does not match manifest")
         projections.append(Pm)
-    h = Hyperparams(**manifest["hyperparams"])
     return Model(projections=projections, hyper=h, meta=manifest.get("meta", {}))

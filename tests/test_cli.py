@@ -1,12 +1,13 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 import mvcontrast as mv
 from mvcontrast.cli import main
 from mvcontrast.config import build_config, parse_config
-from mvcontrast.errors import ConfigError
+from mvcontrast.errors import ConfigError, DataError
 
 
 def write_config(path, obj):
@@ -20,6 +21,17 @@ SYNTH_SMALL = {
     "hyper": {"max_iters": 3, "tol": 1e-12},
     "experiment": {"M": 2, "repeats": 2},
 }
+
+
+def write_file_dataset(tmp_path):
+    """A small labelled two-view CSV set, its config and a d=2 model."""
+    ds = mv.synth_blobs(2, 2, 4, [4, 4], 0.2, 0)
+    paths, label_path = mv.save_views(ds, tmp_path / "data")
+    obj = dict(SYNTH_SMALL, dataset={"views": paths, "labels": label_path})
+    model = mv.Model(projections=[np.eye(4)[:, :2], np.eye(4)[:, 2:]],
+                     hyper=mv.Hyperparams(d=2), meta={})
+    mv.save_model(model, tmp_path / "model")
+    return write_config(tmp_path / "c.json", obj), paths, label_path
 
 
 class TestBuildConfig:
@@ -200,3 +212,70 @@ class TestGradcheckDiagnose:
             "dataset": {"views": [str(tmp_path / "nope.csv")]}})
         assert main(["train", "--config", cfg, "--out", str(tmp_path / "m")]) == 2
         assert "error: DataError" in capsys.readouterr().err
+
+
+BAD_MATRIX_FILES = {
+    "ragged row": "1,2,3,4\n5,6,7\n",
+    "non-numeric cell": "1,2,3,4\n5,6,x,8\n",
+    "hash in a cell": "1,2,3,4\n5,6,7,8 # note\n",
+    "comment line": "# header\n1,2,3,4\n",
+    "empty file": "",
+    "all-blank file": "\n  \n\t\n",
+}
+
+BAD_MODEL_FILES = {
+    "bad manifest JSON": ("manifest.json", lambda text: text[:-2]),
+    "missing manifest key": ("manifest.json", lambda text: text.replace(
+        '"view_dims"', '"dims"')),
+    "unknown hyperparameter": ("manifest.json", lambda text: text.replace(
+        '"gamma"', '"learning_rate"')),
+    "non-numeric projection": ("projection_view0.csv",
+                               lambda text: "1,0\n0,x\n0,0\n0,0\n"),
+}
+
+
+class TestBadInputFiles:
+    @pytest.mark.parametrize("text", BAD_MATRIX_FILES.values(),
+                             ids=BAD_MATRIX_FILES.keys())
+    def test_bad_view_file_exit_2(self, tmp_path, capsys, text):
+        cfg, paths, label_path = write_file_dataset(tmp_path)
+        with open(paths[0], "w", encoding="utf-8") as fh:
+            fh.write(text)
+        with pytest.raises(DataError, match="view0.csv"):
+            mv.load_views(paths, label_path)
+        assert main(["eval", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+        assert "error: DataError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fname,edit", BAD_MODEL_FILES.values(),
+                             ids=BAD_MODEL_FILES.keys())
+    def test_bad_model_file_exit_2(self, tmp_path, capsys, fname, edit):
+        cfg, _, _ = write_file_dataset(tmp_path)
+        model_dir = tmp_path / "model"
+        mv.load_model(model_dir)
+        path = model_dir / fname
+        path.write_text(edit(path.read_text()))
+        with pytest.raises(DataError):
+            mv.load_model(model_dir)
+        assert main(["eval", "--config", cfg, "--model", str(model_dir),
+                     "--out", str(tmp_path / "r")]) == 2
+        assert "error: DataError" in capsys.readouterr().err
+
+
+BAD_CONFIGS = {
+    "labels with synth": {"dataset": {"synth": {}, "labels": "labels.csv"}},
+    "unknown output format": {"dataset": {"synth": {}},
+                              "output": {"formats": ["csv", "pdf"]}},
+    "output formats not a list": {"dataset": {"synth": {}},
+                                  "output": {"formats": "csv"}},
+    "infinite hyperparameter": {"dataset": {"synth": {}},
+                                "hyper": {"gamma": float("inf")}},
+    "non-numeric hyperparameter": {"dataset": {"synth": {}},
+                                   "hyper": {"gamma": "0.1"}},
+}
+
+
+@pytest.mark.parametrize("obj", BAD_CONFIGS.values(), ids=BAD_CONFIGS.keys())
+def test_bad_config_exit_1(tmp_path, capsys, obj):
+    cfg = write_config(tmp_path / "c.json", obj)
+    assert main(["gradcheck", "--config", cfg]) == 1
+    assert "error: ConfigError" in capsys.readouterr().err

@@ -45,6 +45,15 @@ class TestLoadViews:
         with pytest.raises(DataError, match="at least 2"):
             mv.load_views([tmp_path / "a.csv", tmp_path / "b.csv"])
 
+    def test_whitespace_only_lines_skipped(self, tmp_path):
+        (tmp_path / "a.csv").write_text("\n1,2\n  \n\t\n3,4\r\n \n5,6\n\n")
+        write_csv(tmp_path / "b.csv", [[1.0], [2.0], [3.0]])
+        (tmp_path / "labels.csv").write_text("0\n\n1\n \n0\n")
+        ds = mv.load_views([tmp_path / "a.csv", tmp_path / "b.csv"],
+                           tmp_path / "labels.csv")
+        assert np.array_equal(ds.views[0], [[1, 3, 5], [2, 4, 6]])
+        assert np.array_equal(ds.labels, [0, 1, 0])
+
     def test_roundtrip_exact(self, tmp_path):
         ds = mv.synth_blobs(2, 3, 4, [3, 2], 0.7, 5)
         mv.save_views(ds, tmp_path)
@@ -55,43 +64,7 @@ class TestLoadViews:
         assert np.array_equal(ds.labels, back.labels)
 
 
-class TestStackPadded:
-    def make_ds(self, dims, n=4, seed=0):
-        rng = np.random.default_rng(seed)
-        return mv.MultiViewDataset(
-            views=[rng.normal(size=(d, n)) for d in dims])
-
-    def test_first_block(self):
-        ds = self.make_ds([2, 3])
-        pad = mv.stack_padded(ds, 0)
-        assert pad.data.shape == (5, 4)
-        assert np.array_equal(pad.data[:2], ds.views[0])
-        assert np.all(pad.data[2:] == 0)
-
-    def test_last_block(self):
-        ds = self.make_ds([2, 3])
-        pad = mv.stack_padded(ds, 1)
-        assert np.all(pad.data[:2] == 0)
-        assert np.array_equal(pad.data[2:], ds.views[1])
-
-    def test_middle_block(self):
-        ds = self.make_ds([2, 2, 2])
-        pad = mv.stack_padded(ds, 1)
-        assert np.all(pad.data[0:2] == 0)
-        assert np.array_equal(pad.data[2:4], ds.views[1])
-        assert np.all(pad.data[4:6] == 0)
-
-    def test_out_of_range(self):
-        ds = self.make_ds([2, 3])
-        with pytest.raises(IndexError):
-            mv.stack_padded(ds, 2)
-
-    def test_blocks_sum_to_full_stack(self):
-        ds = self.make_ds([3, 2, 4])
-        total = sum(mv.stack_padded(ds, m).data for m in range(ds.V))
-        expected = np.vstack(ds.views)
-        assert np.array_equal(total, expected)
-
+class TestViewOffsets:
     def test_offsets(self):
         assert view_offsets([3, 2, 4]) == [0, 3, 5]
 

@@ -128,6 +128,12 @@ class TestKnnAccuracy:
         with pytest.raises(ConfigError):
             mv.knn_accuracy(np.ones((2, 2)), [0, 1], np.ones((2, 1)), [0], k=3)
 
+    def test_label_count_mismatch(self):
+        with pytest.raises(DataError, match="train labels"):
+            mv.knn_accuracy(np.ones((2, 3)), [0, 1], np.ones((2, 1)), [0])
+        with pytest.raises(DataError, match="test labels"):
+            mv.knn_accuracy(np.ones((2, 3)), [0, 1, 0], np.ones((2, 2)), [0])
+
     def test_empty_train(self):
         with pytest.raises(ConfigError):
             mv.knn_accuracy(np.ones((2, 0)), [], np.ones((2, 1)), [0])

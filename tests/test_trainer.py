@@ -118,15 +118,6 @@ class TestSweepW:
         mv.sweep_W(s2, ds, h)
         assert all(np.array_equal(a, b) for a, b in zip(s1.W.W, s2.W.W))
 
-    def test_jacobi_differs_from_gauss_seidel(self):
-        ds = mv.synth_blobs(2, 2, 4, [4, 4], 0.5, 0)
-        h = hyper()
-        gs = mv.init_state(ds, h, seed=4)
-        ja = mv.init_state(ds, h, seed=4)
-        mv.sweep_W(gs, ds, h)
-        mv.sweep_W(ja, ds, h, jacobi=True)
-        assert not all(np.array_equal(a, b) for a, b in zip(gs.W.W, ja.W.W))
-
     def test_adam_moments_persist(self):
         ds = mv.synth_blobs(2, 2, 3, [4, 4], 0.5, 0)
         h = hyper()
