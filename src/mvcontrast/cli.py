@@ -17,7 +17,7 @@ import numpy as np
 
 from . import data, diagnostics, evaluation, gradients, losses, trainer
 from .config import parse_config
-from .errors import MvError
+from .errors import MvError, NumericError
 
 
 def _write_loss_history(history, out_dir):
@@ -182,10 +182,16 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # an overflow or invalid operation stops the run as a NumericError
+        # instead of warning and carrying inf/NaN into the outputs
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return args.func(args)
+    except FloatingPointError as exc:
+        error = NumericError(f"floating-point {exc}")
     except MvError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return exc.exit_code
+        error = exc
+    print(f"error: {type(error).__name__}: {error}", file=sys.stderr)
+    return error.exit_code
 
 
 if __name__ == "__main__":

@@ -116,9 +116,12 @@ def build_config(raw):
         if len(synth["dims"]) != synth["V"]:
             raise ConfigError("dataset.synth: dims length must equal V")
     else:
-        view_paths = list(dataset["views"])
-        if not view_paths:
-            raise ConfigError("dataset.views must not be empty")
+        views = dataset["views"]
+        if (not isinstance(views, list) or not views
+                or not all(isinstance(p, str) for p in views)):
+            raise ConfigError(
+                f"dataset.views must be a non-empty list of file paths, got {views!r}")
+        view_paths = list(views)
 
     hyper_raw = _merge("hyper", _HYPER_DEFAULTS, raw.get("hyper", {}))
     hyper_kwargs = dict(hyper_raw)

@@ -118,8 +118,10 @@ def load_views(view_paths, label_path=None):
         raw = read_matrix(label_path)
         if raw.shape[1] != 1:
             raise DataError(f"{label_path}: expected one integer per line")
-        if not np.all(raw == np.round(raw)):
-            raise DataError(f"{label_path}: labels must be integers")
+        # beyond 2**53 a double no longer tells neighbouring integers apart
+        if not np.all((np.abs(raw) < 2.0 ** 53) & (raw == np.round(raw))):
+            raise DataError(
+                f"{label_path}: labels must be integers of magnitude below 2**53")
         labels = raw[:, 0].astype(int)
         if labels.shape[0] != matrices[0].shape[0]:
             raise DataError(

@@ -15,7 +15,6 @@ central finite differences of the same scalar functions.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import losses
 from .errors import NumericError
@@ -39,7 +38,7 @@ def w_subobjective(i, m, w, P, W, ds, h, contrastive_weight=1.0):
                 continue
             sims = np.array([losses.cosine_sim(w, W.W[v][:, k], h.tau2, h.norm_eps)
                              for k in range(W.n)])
-            value += contrastive_weight * float(logsumexp(sims) - sims[i])
+            value += contrastive_weight * float(losses.logsumexp(sims) - sims[i])
     B = P.block(m).T @ ds.views[m]
     residual = B[:, i] - B @ w
     value += h.alpha * float(residual @ residual)
@@ -47,34 +46,38 @@ def w_subobjective(i, m, w, P, W, ds, h, contrastive_weight=1.0):
     return value
 
 
-def _sim_grad_coeffs(w, U, tau, norm_eps):
-    """Similarity values and the pieces of d sim(w, u_k)/dw for all columns u_k.
+def column_context(m, P, W, ds):
+    """What every grad_w(., m) call shares: (B_m, {v: column norms of W^v}).
 
-    d sim/dw = u_k / (q_k tau) - (s_k ||u_k|| / (q_k ||w||)) w
-    with q_k = ||w|| ||u_k|| + norm_eps.
+    Valid only while W^m is the only block that changes; rebuild it after P
+    or any other W^v moves.
     """
-    nw = max(np.linalg.norm(w), _NORM_FLOOR)
-    nu = np.linalg.norm(U, axis=0)
-    q = nw * nu + norm_eps
-    s = (U.T @ w) / (q * tau)
-    return s, q, nw, nu
+    B = P.block(m).T @ ds.views[m]
+    norms = {v: np.linalg.norm(W.W[v], axis=0) for v in range(W.V) if v != m}
+    return B, norms
 
 
-def grad_w(i, m, P, W, ds, h, contrastive_weight=1.0):
-    """Gradient of w_subobjective at the current column w_i^m."""
+def grad_w(i, m, P, W, ds, h, contrastive_weight=1.0, ctx=None):
+    """Gradient of w_subobjective at the current column w_i^m.
+
+    `ctx` is `column_context(m, P, W, ds)`, built here when not given.  Per
+    other view v, with q_k = ||w|| ||u_k|| + norm_eps over the columns u_k of
+    W^v, d sim(w, u_k)/dw = u_k / (q_k tau) - (s_k ||u_k|| / (q_k ||w||)) w.
+    """
+    B, norms = column_context(m, P, W, ds) if ctx is None else ctx
     w = W.W[m][:, i]
     grad = np.zeros_like(w)
     if contrastive_weight != 0.0:
-        for v in range(W.V):
-            if v == m:
-                continue
-            s, q, nw, nu = _sim_grad_coeffs(w, W.W[v], h.tau2, h.norm_eps)
+        nw = max(np.linalg.norm(w), _NORM_FLOOR)
+        for v, nu in norms.items():
+            U = W.W[v]
+            q = nw * nu + h.norm_eps
+            s = (U.T @ w) / (q * h.tau2)
             coeff = _softmax(s)
             coeff[i] -= 1.0
             grad += contrastive_weight * (
-                W.W[v] @ (coeff / (q * h.tau2))
+                U @ (coeff / (q * h.tau2))
                 - float(np.sum(coeff * s * nu / q)) / nw * w)
-    B = P.block(m).T @ ds.views[m]
     grad += 2.0 * h.alpha * (B.T @ (B @ w - B[:, i])) + 2.0 * h.beta * w
     if not np.all(np.isfinite(grad)):
         raise NumericError(f"non-finite gradient for column ({i}, view {m})")

@@ -17,7 +17,6 @@ log-sum-exp path.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .data import view_offsets
 from .errors import DataError, NumericError
@@ -92,6 +91,18 @@ def cosine_sim(u, v, tau, norm_eps=0.0):
         raise DataError(f"cosine_sim shape mismatch: {u.shape} vs {v.shape}")
     denom = np.linalg.norm(u) * np.linalg.norm(v) + norm_eps
     return float(u @ v) / (denom * tau)
+
+
+def logsumexp(a, axis=None):
+    """log(sum(exp(a))) along `axis` (over all entries when None).
+
+    The maximum is subtracted before exponentiating, so no term overflows.
+    """
+    a = np.asarray(a, dtype=float)
+    shift = np.max(a, axis=axis, keepdims=True)
+    shift[~np.isfinite(shift)] = 0.0
+    out = np.log(np.sum(np.exp(a - shift), axis=axis, keepdims=True)) + shift
+    return np.squeeze(out, axis=axis)
 
 
 def view_embeddings(P, ds):

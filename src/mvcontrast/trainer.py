@@ -93,14 +93,18 @@ def init_state(ds, h, seed):
 def sweep_W(state, ds, h):
     """One Gauss-Seidel pass of per-column Adam updates over every w_i^m.
 
-    Columns are updated in place, so later columns see earlier updates.
+    Columns are updated in place, so later columns see earlier updates.  The
+    column context of view m (B_m and the other views' column norms) is built
+    after view m-1's columns are written and is shared by view m's columns:
+    it stays valid only while W^m is the only block that changes.
     """
     W = state.W
     max_step = 0.0
     for m in range(W.V):
+        ctx = gradients.column_context(m, state.P, W, ds)
         for i in range(W.n):
             try:
-                g = gradients.grad_w(i, m, state.P, W, ds, h)
+                g = gradients.grad_w(i, m, state.P, W, ds, h, ctx=ctx)
                 new_col, state.adam_W[m][i] = adam_step(
                     W.W[m][:, i], g, state.adam_W[m][i], h)
             except NumericError as exc:
@@ -187,5 +191,7 @@ def load_model(model_dir):
         Pm = read_matrix(p)
         if Pm.shape != shape:
             raise DataError(f"{p}: shape {Pm.shape} does not match manifest")
+        if not np.all(np.isfinite(Pm)):
+            raise DataError(f"{p}: projection contains non-finite entries")
         projections.append(Pm)
     return Model(projections=projections, hyper=h, meta=manifest.get("meta", {}))

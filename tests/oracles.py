@@ -2,7 +2,10 @@
 
 Everything here is written as plain nested loops with naive exp/log, on
 purpose: these functions arbitrate the vectorized, log-sum-exp-stabilized
-library code and must not share any of its structure.
+library code and must not share any of its structure.  The one exception
+is `per_column_sweep`, the reference W sweep: it drives the library's own
+grad_w and adam_step column by column, so that a sweep sharing work across
+columns can be compared with it bit for bit.
 """
 
 import math
@@ -95,6 +98,30 @@ def naive_scatter(Wm):
             wwT = sum(Wm[i, j] * Wm[k, j] for j in range(n))
             S[i, k] = Wm[i, k] + Wm[k, i] - wwT
     return S
+
+
+def per_column_sweep(state, ds, h):
+    """The W sweep with no shared column context: every grad_w call builds
+    its own B_m and column norms, as the library did before `column_context`.
+    """
+    from mvcontrast.errors import NumericError
+    from mvcontrast.gradients import grad_w
+    from mvcontrast.trainer import adam_step
+
+    W = state.W
+    max_step = 0.0
+    for m in range(W.V):
+        for i in range(W.n):
+            try:
+                g = grad_w(i, m, state.P, W, ds, h)
+                new_col, state.adam_W[m][i] = adam_step(
+                    W.W[m][:, i], g, state.adam_W[m][i], h)
+            except NumericError as exc:
+                raise NumericError(f"column ({i}, view {m}): {exc}") from exc
+            max_step = max(max_step, float(np.max(np.abs(new_col - W.W[m][:, i]))))
+            W.W[m][:, i] = new_col
+    state.last_max_step = max_step
+    return state
 
 
 def random_instance(seed, n=5, V=2, dims=(4, 3), d=2):

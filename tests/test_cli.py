@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -231,6 +233,14 @@ BAD_MODEL_FILES = {
         '"gamma"', '"learning_rate"')),
     "non-numeric projection": ("projection_view0.csv",
                                lambda text: "1,0\n0,x\n0,0\n0,0\n"),
+    "non-finite projection": ("projection_view0.csv",
+                              lambda text: "1,0\n0,nan\n0,0\n0,inf\n"),
+}
+
+BAD_LABEL_FILES = {
+    "infinite label": "inf",
+    "NaN label": "nan",
+    "label of 2**53": "9007199254740992",
 }
 
 
@@ -242,6 +252,19 @@ class TestBadInputFiles:
         with open(paths[0], "w", encoding="utf-8") as fh:
             fh.write(text)
         with pytest.raises(DataError, match="view0.csv"):
+            mv.load_views(paths, label_path)
+        assert main(["eval", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+        assert "error: DataError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("label", BAD_LABEL_FILES.values(),
+                             ids=BAD_LABEL_FILES.keys())
+    def test_bad_label_exit_2(self, tmp_path, capsys, label):
+        cfg, paths, label_path = write_file_dataset(tmp_path)
+        with open(label_path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        with open(label_path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join([label] + lines[1:]) + "\n")
+        with pytest.raises(DataError, match="labels.csv"):
             mv.load_views(paths, label_path)
         assert main(["eval", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
         assert "error: DataError" in capsys.readouterr().err
@@ -260,6 +283,14 @@ class TestBadInputFiles:
                      "--out", str(tmp_path / "r")]) == 2
         assert "error: DataError" in capsys.readouterr().err
 
+    def test_overflowing_projection_exit_3(self, tmp_path, capsys):
+        cfg, _, _ = write_file_dataset(tmp_path)
+        model_dir = tmp_path / "model"
+        (model_dir / "projection_view0.csv").write_text("1e300,0\n0,1\n0,0\n0,0\n")
+        assert main(["eval", "--config", cfg, "--model", str(model_dir),
+                     "--out", str(tmp_path / "r")]) == 3
+        assert "error: NumericError: floating-point overflow" in capsys.readouterr().err
+
 
 BAD_CONFIGS = {
     "labels with synth": {"dataset": {"synth": {}, "labels": "labels.csv"}},
@@ -271,6 +302,8 @@ BAD_CONFIGS = {
                                 "hyper": {"gamma": float("inf")}},
     "non-numeric hyperparameter": {"dataset": {"synth": {}},
                                    "hyper": {"gamma": "0.1"}},
+    "integer view paths": {"dataset": {"views": [3, 4]}},
+    "string as view list": {"dataset": {"views": "ab"}},
 }
 
 
@@ -279,3 +312,12 @@ def test_bad_config_exit_1(tmp_path, capsys, obj):
     cfg = write_config(tmp_path / "c.json", obj)
     assert main(["gradcheck", "--config", cfg]) == 1
     assert "error: ConfigError" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy():
+    code = ("import sys, mvcontrast.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert out.stdout.strip() == "[]"

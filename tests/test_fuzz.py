@@ -1,7 +1,8 @@
 """Fuzz the matrix-file and model readers through `mvcontrast eval`.
 
 Whatever a view, label or projection file holds, the CLI must end with one
-of its exit codes; any other exception escaping `cli.main` fails the test.
+of its exit codes; any other exception escaping `cli.main` fails the test,
+and so does a numpy RuntimeWarning (a bad value that got past the readers).
 """
 
 import contextlib
@@ -10,6 +11,7 @@ import os
 import pathlib
 import tempfile
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -38,6 +40,7 @@ def file_text(shape):
     return st.one_of(st.text(), shaped.map("\n".join), loose.map("\n".join))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
 def test_eval_exits_cleanly_on_arbitrary_files(data):

@@ -3,8 +3,9 @@ import pytest
 
 import mvcontrast as mv
 from mvcontrast.errors import NumericError
-from mvcontrast.gradients import (check_gradients, fd_gradient, grad_P,
-                                  grad_w, p_subobjective, w_subobjective)
+from mvcontrast.gradients import (check_gradients, column_context,
+                                  fd_gradient, grad_P, grad_w, p_subobjective,
+                                  w_subobjective)
 from oracles import random_instance
 
 
@@ -87,6 +88,16 @@ class TestGradW:
                 W2.W[m][:, k] = 0.0
         g2 = grad_w(i, m, P, W2, ds, h)
         assert np.allclose(g1, g2, atol=1e-12)
+
+
+    def test_shared_context_bit_identical(self):
+        ds, P, W = random_instance(21, n=6, V=3, dims=(4, 3, 5))
+        h = hyper()
+        for m in range(W.V):
+            ctx = column_context(m, P, W, ds)
+            for i in range(W.n):
+                assert np.array_equal(grad_w(i, m, P, W, ds, h, ctx=ctx),
+                                      grad_w(i, m, P, W, ds, h))
 
 
 class TestGradP:

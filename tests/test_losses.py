@@ -44,6 +44,33 @@ class TestCosineSim:
             mv.cosine_sim([1, 2], [1, 2, 3], 1.0)
 
 
+class TestLogsumexp:
+    @staticmethod
+    def reference(row):
+        # unshifted: exact enough for entries in [-700, 700], where exp
+        # neither overflows nor leaves the normal range
+        return math.log(math.fsum(math.exp(x) for x in row))
+
+    def test_matches_math_reference(self):
+        rng = np.random.default_rng(0)
+        rows = np.vstack([rng.normal(scale=5.0, size=(20, 9)),
+                          700.0 - rng.uniform(0.0, 3.0, size=(5, 9)),
+                          -700.0 + rng.uniform(0.0, 3.0, size=(5, 9)),
+                          rng.choice([-700.0, 700.0], size=(5, 9))])
+        got = mv.losses.logsumexp(rows, axis=1)
+        assert got.shape == (rows.shape[0],)
+        for value, row in zip(got, rows):
+            assert value == pytest.approx(self.reference(row), rel=1e-14)
+        for row in rows:
+            assert float(mv.losses.logsumexp(row)) == pytest.approx(
+                self.reference(row), rel=1e-14)
+
+    def test_no_overflow_beyond_exp_range(self):
+        row = np.array([1000.0, 1000.0, -1000.0])
+        assert float(mv.losses.logsumexp(row)) == pytest.approx(
+            1000.0 + math.log(2.0), rel=1e-15)
+
+
 def uniform_hyper(**kw):
     base = dict(d=2, lam=1.0, alpha=1.0, beta=1.0, tau1=1.0, tau2=1.0)
     base.update(kw)

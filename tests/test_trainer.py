@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import mvcontrast as mv
 from mvcontrast.trainer import AdamState, adam_step
 
-from oracles import random_instance
+from oracles import per_column_sweep, random_instance
+from test_acceptance import C6_BASE_SEED, C6_M, c6_dataset, c6_hyper
 
 
 def hyper(**kw):
@@ -126,6 +129,32 @@ class TestSweepW:
         assert state.adam_W[0][0].t == 1
         mv.sweep_W(state, ds, h)
         assert state.adam_W[0][0].t == 2
+
+
+def c6_training_set():
+    """The training half of the criterion-6 protocol's first repeat (n=75)."""
+    spec = mv.SplitSpec(per_class=C6_M, seed=C6_BASE_SEED, repeat_index=0)
+    return mv.split(c6_dataset(), spec)[0]
+
+
+class TestSharedColumnContext:
+    """sweep_W shares one column context per view; the per-column oracle
+    builds it afresh for every column.  Both must give the same bits."""
+
+    @pytest.mark.parametrize("fixture", ["c6", "three-views"])
+    def test_fit_matches_per_column_sweep(self, monkeypatch, fixture):
+        if fixture == "c6":
+            ds, h = c6_training_set(), c6_hyper()
+        else:
+            ds, h = mv.synth_blobs(3, 3, 8, [5, 4, 6], 0.5, 3), hyper(d=3)
+        h = dataclasses.replace(h, max_iters=20, tol=1e-300)
+        _, shared = mv.fit(ds, h, seed=C6_BASE_SEED)
+        monkeypatch.setattr(mv.trainer, "sweep_W", per_column_sweep)
+        _, oracle = mv.fit(ds, h, seed=C6_BASE_SEED)
+        assert shared.iter == oracle.iter == 20
+        assert all(np.array_equal(a, b) for a, b in zip(shared.W.W, oracle.W.W))
+        assert np.array_equal(shared.P.P, oracle.P.P)
+        assert shared.loss_history == oracle.loss_history
 
 
 class TestFit:
