@@ -9,9 +9,8 @@ from .evaluation import (ResultsTable, evaluate_split, fuse, knn_accuracy,
                          project, run_experiment)
 from .gradients import (GradCheckReport, check_gradients, fd_gradient, grad_P,
                         grad_w)
-from .losses import (CoefficientSet, ProjectionStack, cosine_sim,
-                     reconstruction_penalty, sample_infonce,
-                     structural_contrastive, total_loss)
+from .losses import (CoefficientSet, ProjectionStack, reconstruction_penalty,
+                     sample_infonce, structural_contrastive, total_loss)
 from .params import Hyperparams
 from .trainer import (AdamState, Model, TrainState, adam_step, fit,
                       init_state, load_model, save_model, sweep_W)

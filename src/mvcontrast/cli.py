@@ -10,6 +10,7 @@ Subcommands:
 """
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -66,14 +67,9 @@ def cmd_eval(args):
     for M in cfg.M_values:
         candidates = []
         for d in d_values:
-            h = cfg.hyper
-            if d != h.d:
-                kwargs = h.as_dict()
-                kwargs["d"] = d
-                h = type(h)(**kwargs)
             candidates.append(evaluation.run_experiment(
-                ds, h, M=M, repeats=cfg.repeats, base_seed=cfg.base_seed,
-                fixed_model=fixed_model))
+                ds, dataclasses.replace(cfg.hyper, d=d), M=M, repeats=cfg.repeats,
+                base_seed=cfg.base_seed, fixed_model=fixed_model))
         # d sweep keeps the table with the best Mean-row accuracy
         best_tables.append(max(
             candidates,

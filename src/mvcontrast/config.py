@@ -6,13 +6,23 @@ reproduced exactly.
 """
 
 import json
+import math
+import numbers
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from . import data
 from .errors import ConfigError
 from .params import Hyperparams
+
+# exactly one of views and synth is given
+_DATASET_DEFAULTS = {
+    "views": None,
+    "labels": None,
+    "synth": None,
+    "standardize": False,
+}
 
 _SYNTH_DEFAULTS = {
     "V": 2,
@@ -43,13 +53,41 @@ _OUTPUT_DEFAULTS = {
 }
 
 
+def _require(ok, name, what, value):
+    """`value`, if `ok`; else a ConfigError saying what `name` must be."""
+    if not ok:
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
+    return value
+
+
 def _merge(section_name, defaults, given):
+    _require(isinstance(given, dict), f"section '{section_name}'", "a JSON object",
+             given)
     merged = dict(defaults)
     for key, value in given.items():
         if key not in defaults:
             raise ConfigError(f"unknown key '{key}' in section '{section_name}'")
         merged[key] = value
     return merged
+
+
+def _is_number(value):
+    # JSON true/false are not numbers, though Python's bool is an int
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and abs(value) < math.inf)
+
+
+def _integer(name, value, low):
+    """`value` as an int, if it is an integral number >= low."""
+    _require(_is_number(value) and value == int(value) and value >= low,
+             name, f"an integer >= {low}", value)
+    return int(value)
+
+
+def _integers(name, values, low):
+    """A non-empty list of integers >= low, as ints."""
+    _require(isinstance(values, list) and values, name, "a non-empty list", values)
+    return [_integer(name, v, low) for v in values]
 
 
 @dataclass
@@ -65,15 +103,10 @@ class RunConfig:
     d_sweep: Optional[list]
     out_dir: str
     formats: list
-    resolved: dict = field(default_factory=dict)
 
     def load_dataset(self):
         if self.synth is not None:
-            ds = data.synth_blobs(
-                V=self.synth["V"], classes=self.synth["classes"],
-                per_class=self.synth["per_class"], dims=self.synth["dims"],
-                noise_sigma=self.synth["noise_sigma"], seed=self.synth["seed"],
-                center_scale=self.synth["center_scale"])
+            ds = data.synth_blobs(**self.synth)
         else:
             ds = data.load_views(self.view_paths, self.label_path)
         if self.standardize:
@@ -81,11 +114,35 @@ class RunConfig:
         return ds
 
     def write_echo(self, out_dir):
+        """Write the resolved configuration, defaults included, to run.json."""
+        hyper = self.hyper.as_dict()
+        hyper["lambda"] = hyper.pop("lam")
+        resolved = {
+            "dataset": {"views": self.view_paths, "labels": self.label_path,
+                        "synth": self.synth, "standardize": self.standardize},
+            "hyper": hyper,
+            "experiment": {"M": self.M_values, "repeats": self.repeats,
+                           "base_seed": self.base_seed, "d_sweep": self.d_sweep},
+            "output": {"dir": self.out_dir, "formats": self.formats},
+        }
         os.makedirs(out_dir, exist_ok=True)
         path = os.path.join(out_dir, "run.json")
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.resolved, fh, indent=2, sort_keys=True)
+            json.dump(resolved, fh, indent=2, sort_keys=True)
         return path
+
+
+def _synth(given):
+    synth = _merge("dataset.synth", _SYNTH_DEFAULTS, given)
+    for key, low in (("V", 1), ("classes", 1), ("per_class", 1), ("seed", 0)):
+        synth[key] = _integer(f"dataset.synth.{key}", synth[key], low)
+    synth["dims"] = _integers("dataset.synth.dims", synth["dims"], 1)
+    if len(synth["dims"]) != synth["V"]:
+        raise ConfigError("dataset.synth: dims length must equal V")
+    for key in ("noise_sigma", "center_scale"):
+        _require(_is_number(synth[key]) and synth[key] >= 0,
+                 f"dataset.synth.{key}", "a finite number >= 0", synth[key])
+    return synth
 
 
 def build_config(raw):
@@ -97,82 +154,55 @@ def build_config(raw):
         if key not in known_sections:
             raise ConfigError(f"unknown section '{key}'")
 
-    dataset = raw.get("dataset", {})
-    for key in dataset:
-        if key not in {"views", "labels", "synth", "standardize"}:
-            raise ConfigError(f"unknown key '{key}' in section 'dataset'")
-    has_files = "views" in dataset
-    has_synth = "synth" in dataset
-    if has_files == has_synth:
+    dataset = _merge("dataset", _DATASET_DEFAULTS, raw.get("dataset", {}))
+    views, label_path = dataset["views"], dataset["labels"]
+    if (views is None) == (dataset["synth"] is None):
         raise ConfigError(
             "dataset section must contain exactly one of 'views' or 'synth'")
-    synth = None
-    view_paths = None
-    label_path = dataset.get("labels")
-    if has_synth:
+    _require(label_path is None or isinstance(label_path, str), "dataset.labels",
+             "a file path", label_path)
+    _require(isinstance(dataset["standardize"], bool), "dataset.standardize",
+             "true or false", dataset["standardize"])
+    synth = view_paths = None
+    if views is None:
         if label_path is not None:
             raise ConfigError("dataset.labels cannot be given with dataset.synth")
-        synth = _merge("dataset.synth", _SYNTH_DEFAULTS, dataset["synth"])
-        if len(synth["dims"]) != synth["V"]:
-            raise ConfigError("dataset.synth: dims length must equal V")
+        synth = _synth(dataset["synth"])
     else:
-        views = dataset["views"]
-        if (not isinstance(views, list) or not views
-                or not all(isinstance(p, str) for p in views)):
-            raise ConfigError(
-                f"dataset.views must be a non-empty list of file paths, got {views!r}")
-        view_paths = list(views)
+        _require(isinstance(views, list) and views, "dataset.views",
+                 "a non-empty list of file paths", views)
+        view_paths = [_require(isinstance(p, str), "dataset.views", "file paths", p)
+                      for p in views]
 
-    hyper_raw = _merge("hyper", _HYPER_DEFAULTS, raw.get("hyper", {}))
-    hyper_kwargs = dict(hyper_raw)
+    hyper_kwargs = _merge("hyper", _HYPER_DEFAULTS, raw.get("hyper", {}))
     hyper_kwargs["lam"] = hyper_kwargs.pop("lambda")
-    hyper = Hyperparams(**hyper_kwargs)
 
     experiment = _merge("experiment", _EXPERIMENT_DEFAULTS, raw.get("experiment", {}))
     M_values = experiment["M"]
-    if isinstance(M_values, int):
-        M_values = [M_values]
-    if not M_values or any(int(M) != M or M < 1 for M in M_values):
-        raise ConfigError(f"experiment.M must be positive integers, got {M_values}")
-    repeats = experiment["repeats"]
-    if int(repeats) != repeats or repeats < 1:
-        raise ConfigError(f"experiment.repeats must be >= 1, got {repeats}")
+    if not isinstance(M_values, list):
+        M_values = [M_values]  # a single M
+    d_sweep = experiment["d_sweep"]
+    if d_sweep not in (None, []):  # an empty sweep evaluates hyper.d alone
+        d_sweep = _integers("experiment.d_sweep", d_sweep, 1)
 
     output = _merge("output", _OUTPUT_DEFAULTS, raw.get("output", {}))
     known, formats = _OUTPUT_DEFAULTS["formats"], output["formats"]
-    if not isinstance(formats, list) or any(f not in known for f in formats):
-        raise ConfigError(
-            f"output.formats must be a list drawn from {known}, got {formats!r}")
+    _require(isinstance(formats, list) and all(f in known for f in formats),
+             "output.formats", f"a list drawn from {known}", formats)
 
-    resolved = {
-        "dataset": {
-            "views": view_paths,
-            "labels": label_path,
-            "synth": synth,
-            "standardize": bool(dataset.get("standardize", False)),
-        },
-        "hyper": hyper_raw,
-        "experiment": {
-            "M": [int(M) for M in M_values],
-            "repeats": int(repeats),
-            "base_seed": int(experiment["base_seed"]),
-            "d_sweep": experiment["d_sweep"],
-        },
-        "output": output,
-    }
     return RunConfig(
         view_paths=view_paths,
         label_path=label_path,
         synth=synth,
-        standardize=bool(dataset.get("standardize", False)),
-        hyper=hyper,
-        M_values=[int(M) for M in M_values],
-        repeats=int(repeats),
-        base_seed=int(experiment["base_seed"]),
-        d_sweep=experiment["d_sweep"],
-        out_dir=output["dir"],
-        formats=list(output["formats"]),
-        resolved=resolved,
+        standardize=dataset["standardize"],
+        hyper=Hyperparams(**hyper_kwargs),
+        M_values=_integers("experiment.M", M_values, 1),
+        repeats=_integer("experiment.repeats", experiment["repeats"], 1),
+        base_seed=_integer("experiment.base_seed", experiment["base_seed"], 0),
+        d_sweep=d_sweep,
+        out_dir=_require(isinstance(output["dir"], str), "output.dir",
+                         "a directory path", output["dir"]),
+        formats=list(formats),
     )
 
 

@@ -12,7 +12,6 @@ and the pairwise form carries the explicit 1/2.
 import numpy as np
 
 from .errors import ConfigError
-from .losses import cosine_sim
 
 
 def scatter_matrix(Wm):
@@ -68,12 +67,7 @@ def cross_view_alignment(W):
     """Mean cosine between same-sample coefficient columns across view pairs."""
     if W.V < 2:
         raise ConfigError("alignment needs at least 2 views")
-    values = []
-    for m in range(W.V):
-        for v in range(W.V):
-            if v == m:
-                continue
-            for i in range(W.n):
-                values.append(cosine_sim(W.W[m][:, i], W.W[v][:, i],
-                                         tau=1.0, norm_eps=1e-12))
+    norms = [np.linalg.norm(Wm, axis=0) for Wm in W.W]
+    values = [np.sum(W.W[m] * W.W[v], axis=0) / (norms[m] * norms[v] + 1e-12)
+              for m in range(W.V) for v in range(W.V) if v != m]
     return float(np.mean(values))

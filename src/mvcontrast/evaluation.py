@@ -13,7 +13,7 @@ import numpy as np
 
 from . import trainer
 from .data import SplitSpec, split
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, NumericError
 
 
 def project(model, ds):
@@ -55,10 +55,16 @@ def knn_accuracy(train_emb, train_labels, test_emb, test_labels, k=1):
         if labels.shape != (emb.shape[1],):
             raise DataError(
                 f"{name} labels of shape {labels.shape} for {emb.shape[1]} samples")
-    sq_tr = np.sum(train_emb ** 2, axis=0)
-    # squared distances, test rows x train cols; argmin takes the first
-    # (smallest-index) minimizer
-    d2 = sq_tr[None, :] - 2.0 * (test_emb.T @ train_emb)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            sq_tr = np.sum(train_emb ** 2, axis=0)
+            # squared distances, test rows x train cols; argmin takes the
+            # first (smallest-index) minimizer
+            d2 = sq_tr[None, :] - 2.0 * (test_emb.T @ train_emb)
+    except FloatingPointError as exc:
+        raise NumericError(f"floating-point {exc} in 1-NN distances") from exc
+    if not np.all(np.isfinite(d2)):
+        raise NumericError("non-finite 1-NN distances")
     nearest = np.argmin(d2, axis=1)
     predicted = train_labels[nearest]
     return float(np.mean(predicted == test_labels))
@@ -70,7 +76,6 @@ class ResultsTable:
 
     rows: list = field(default_factory=list)  # dicts: row_label, M, mean, std
     repeats: int = 1
-    seeds: list = field(default_factory=list)
 
     def add(self, row_label, M, accuracies):
         acc = np.asarray(accuracies, dtype=float)
@@ -109,8 +114,8 @@ def evaluate_split(model, train_ds, test_ds):
     test_views = project(model, test_ds)
     per_view = [knn_accuracy(tr, train_ds.labels, te, test_ds.labels)
                 for tr, te in zip(train_views, test_views)]
-    fused = knn_accuracy(fuse(model, train_ds), train_ds.labels,
-                         fuse(model, test_ds), test_ds.labels)
+    fused = knn_accuracy(np.sum(train_views, axis=0), train_ds.labels,
+                         np.sum(test_views, axis=0), test_ds.labels)
     return per_view, float(np.mean(per_view)), fused
 
 
@@ -129,7 +134,6 @@ def run_experiment(ds, h, M, repeats, base_seed, fixed_model=None):
     acc_view = [[] for _ in range(ds.V)]
     acc_mean = []
     acc_fused = []
-    seeds = []
     for r in range(repeats):
         spec = SplitSpec(per_class=M, seed=base_seed, repeat_index=r)
         train_ds, test_ds = split(ds, spec)
@@ -142,8 +146,7 @@ def run_experiment(ds, h, M, repeats, base_seed, fixed_model=None):
             acc_view[m].append(per_view[m])
         acc_mean.append(mean_acc)
         acc_fused.append(fused_acc)
-        seeds.append([int(base_seed), r])
-    table = ResultsTable(repeats=repeats, seeds=seeds)
+    table = ResultsTable(repeats=repeats)
     for m in range(ds.V):
         table.add(labels[m], M, acc_view[m])
     table.add("Mean", M, acc_mean)
@@ -159,5 +162,4 @@ def merge_tables(tables):
     merged = ResultsTable(repeats=repeats.pop())
     for t in tables:
         merged.rows.extend(t.rows)
-        merged.seeds.extend(t.seeds)
     return merged

@@ -83,16 +83,6 @@ class CoefficientSet:
         return CoefficientSet([w.copy() for w in self.W])
 
 
-def cosine_sim(u, v, tau, norm_eps=0.0):
-    """Temperature-scaled cosine similarity  u.v / ((|u||v| + norm_eps) tau)."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != v.shape:
-        raise DataError(f"cosine_sim shape mismatch: {u.shape} vs {v.shape}")
-    denom = np.linalg.norm(u) * np.linalg.norm(v) + norm_eps
-    return float(u @ v) / (denom * tau)
-
-
 def logsumexp(a, axis=None):
     """log(sum(exp(a))) along `axis` (over all entries when None).
 

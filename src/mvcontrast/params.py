@@ -48,7 +48,7 @@ class Hyperparams:
 
     def __post_init__(self):
         for name, value in self.as_dict().items():
-            if not isinstance(value, numbers.Real) or not (
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
                     abs(value) < math.inf or (name == "tol" and value == math.inf)):
                 raise ConfigError(f"{name} must be a finite number, got {value!r}")
         if int(self.d) != self.d or self.d < 1:

@@ -71,6 +71,39 @@ def naive_structural(W, h):
     return total
 
 
+def naive_w_subobjective(i, m, w, P, ds, W, h):
+    """The partial objective of column w_i^m, one cosine at a time."""
+    value = 0.0
+    for v in range(len(W.W)):
+        if v == m:
+            continue
+        den = 0.0
+        for k in range(W.W[v].shape[1]):
+            den += math.exp(naive_cosine(w, W.W[v][:, k], h.tau2, h.norm_eps))
+        value += math.log(den) - naive_cosine(w, W.W[v][:, i], h.tau2, h.norm_eps)
+    o = P.offsets[m]
+    B = P.P[o:o + ds.view_dims[m], :].T @ ds.views[m]
+    for r in range(B.shape[0]):
+        fit = sum(B[r, k] * w[k] for k in range(len(w)))
+        value += h.alpha * (B[r, i] - fit) ** 2
+    value += h.beta * sum(x * x for x in w)
+    return value
+
+
+def naive_alignment(W):
+    """Mean cosine between same-sample columns over ordered view pairs,
+    one column pair at a time."""
+    values = []
+    for m in range(len(W.W)):
+        for v in range(len(W.W)):
+            if v == m:
+                continue
+            for i in range(W.W[m].shape[1]):
+                values.append(naive_cosine(W.W[m][:, i], W.W[v][:, i],
+                                           tau=1.0, norm_eps=1e-12))
+    return sum(values) / len(values)
+
+
 def naive_reconstruction(P, ds, W, h):
     total = 0.0
     for m in range(ds.V):

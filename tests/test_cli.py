@@ -85,6 +85,15 @@ class TestBuildConfig:
             build_config({"dataset": {"synth": {}},
                           "experiment": {"repeats": 0}})
 
+    def test_echo_reloads_as_the_same_config(self, tmp_path):
+        files = {"dataset": {"views": ["a.csv", "b.csv"], "labels": "l.csv"},
+                 "hyper": {"tol": float("inf")}, "experiment": {"d_sweep": [1, 2]}}
+        for k, obj in enumerate([SYNTH_SMALL, files]):
+            echo = build_config(obj).write_echo(tmp_path / f"{k}a")
+            again = parse_config(echo).write_echo(tmp_path / f"{k}b")
+            with open(echo, "rb") as a, open(again, "rb") as b:
+                assert a.read() == b.read()
+
     def test_parse_config_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             parse_config(str(tmp_path / "absent.json"))
@@ -302,8 +311,24 @@ BAD_CONFIGS = {
                                 "hyper": {"gamma": float("inf")}},
     "non-numeric hyperparameter": {"dataset": {"synth": {}},
                                    "hyper": {"gamma": "0.1"}},
+    "boolean hyperparameter": {"dataset": {"synth": {}}, "hyper": {"d": True}},
     "integer view paths": {"dataset": {"views": [3, 4]}},
     "string as view list": {"dataset": {"views": "ab"}},
+    "integer label path": {"dataset": {"views": ["a.csv"], "labels": 0}},
+    "dataset not an object": {"dataset": ["views"]},
+    "synth not an object": {"dataset": {"synth": 3}},
+    "hyper not an object": {"dataset": {"synth": {}}, "hyper": []},
+    "experiment not an object": {"dataset": {"synth": {}}, "experiment": "M"},
+    "output not an object": {"dataset": {"synth": {}}, "output": "out"},
+    "M as a string": {"dataset": {"synth": {}}, "experiment": {"M": "ab"}},
+    "M holding null": {"dataset": {"synth": {}}, "experiment": {"M": [None]}},
+    "repeats as a string": {"dataset": {"synth": {}}, "experiment": {"repeats": "x"}},
+    "base_seed as a string": {"dataset": {"synth": {}},
+                              "experiment": {"base_seed": "x"}},
+    "d_sweep as a number": {"dataset": {"synth": {}}, "experiment": {"d_sweep": 5}},
+    "synth dims as a number": {"dataset": {"synth": {"dims": 8}}},
+    "fractional synth per_class": {"dataset": {"synth": {"per_class": 2.5}}},
+    "synth noise_sigma as a string": {"dataset": {"synth": {"noise_sigma": "a"}}},
 }
 
 

@@ -5,7 +5,7 @@ import mvcontrast as mv
 from mvcontrast.diagnostics import normalize_columns_l1
 from mvcontrast.errors import ConfigError
 
-from oracles import naive_scatter
+from oracles import naive_alignment, naive_scatter
 
 
 class TestScatterMatrix:
@@ -96,6 +96,16 @@ class TestCrossViewAlignment:
             np.column_stack([[0.0, 1.0], [0.0, 1.0]]),
         ])
         assert mv.cross_view_alignment(W) == pytest.approx(0.0, abs=1e-9)
+
+    def test_matches_column_loop(self):
+        for seed in range(10):
+            rng = np.random.default_rng(seed + 50)
+            n = int(rng.integers(1, 9))
+            blocks = [rng.normal(size=(n, n)) for _ in range(3)]
+            blocks[seed % 3][:, 0] = 0.0  # a zero column meets the 1e-12 guard
+            W = mv.CoefficientSet(blocks)
+            assert mv.cross_view_alignment(W) == pytest.approx(
+                naive_alignment(W), rel=0, abs=1e-12)
 
     def test_range(self):
         for seed in range(10):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import mvcontrast as mv
-from mvcontrast.errors import ConfigError, DataError
-from mvcontrast.evaluation import merge_tables
+from mvcontrast.errors import ConfigError, DataError, NumericError
+from mvcontrast.evaluation import evaluate_split, merge_tables
 from mvcontrast.trainer import Model
 
 
@@ -138,6 +138,15 @@ class TestKnnAccuracy:
         with pytest.raises(ConfigError):
             mv.knn_accuracy(np.ones((2, 0)), [], np.ones((2, 1)), [0])
 
+    @pytest.mark.parametrize("bad", [1e155, np.inf, np.nan])
+    def test_non_finite_distances_raise(self, bad):
+        # 1e155 is finite, but its square overflows the squared distances
+        rng = np.random.default_rng(7)
+        train, test = rng.normal(size=(2, 3)), rng.normal(size=(2, 4))
+        train[0, 1] = bad
+        with pytest.raises(NumericError, match="1-NN distances"):
+            mv.knn_accuracy(train, [0, 1, 2], test, [0, 1, 2, 0])
+
 
 class TestRunExperiment:
     def small_h(self, **kw):
@@ -194,6 +203,21 @@ class TestRunExperiment:
         lines = table.to_csv().strip().split("\n")
         assert lines[0] == "row_label,M,mean,std,repeats"
         assert lines[1].startswith("view0,2,1.000000,0.000000,1")
+
+
+class TestEvaluateSplit:
+    def test_fused_row_scores_the_fusion_embedding(self):
+        ds = mv.synth_blobs(2, 3, 8, [4, 5], 1.5, 2)
+        rng = np.random.default_rng(3)
+        model = make_model([rng.normal(size=(4, 2)), rng.normal(size=(5, 2))])
+        train_ds, test_ds = mv.split(ds, mv.SplitSpec(per_class=3, seed=1))
+        per_view, mean_acc, fused = evaluate_split(model, train_ds, test_ds)
+        assert per_view == [
+            mv.knn_accuracy(tr, train_ds.labels, te, test_ds.labels)
+            for tr, te in zip(mv.project(model, train_ds), mv.project(model, test_ds))]
+        assert mean_acc == np.mean(per_view)
+        assert fused == mv.knn_accuracy(mv.fuse(model, train_ds), train_ds.labels,
+                                        mv.fuse(model, test_ds), test_ds.labels)
 
 
 class TestMergeTables:

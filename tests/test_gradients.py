@@ -4,15 +4,20 @@ import pytest
 import mvcontrast as mv
 from mvcontrast.errors import NumericError
 from mvcontrast.gradients import (check_gradients, column_context,
-                                  fd_gradient, grad_P, grad_w, p_subobjective,
-                                  w_subobjective)
-from oracles import random_instance
+                                  fd_gradient, grad_P, grad_w, w_subobjective)
+from oracles import naive_w_subobjective, random_instance
 
 
 def hyper(**kw):
     base = dict(d=2, lam=1.0, alpha=1.0, beta=1.0, tau1=1.0, tau2=1.0)
     base.update(kw)
     return mv.Hyperparams(**base)
+
+
+def total_loss_at(p, P, W, ds, h):
+    """total_loss with the stacked projection replaced by the flat p."""
+    return mv.total_loss(mv.ProjectionStack(p.reshape(P.P.shape), ds.view_dims),
+                         W, ds, h)
 
 
 class TestFdGradient:
@@ -34,6 +39,21 @@ class TestFdGradient:
 
         with pytest.raises(NumericError, match="coordinate 1"):
             fd_gradient(bad, np.array([0.0, 1.5 - 1e-7]), 1e-6)
+
+
+class TestWSubobjective:
+    def test_matches_nested_loop(self):
+        for seed in range(6):
+            V = 2 + seed % 2
+            n = 2 + seed
+            ds, P, W = random_instance(seed + 30, n=n, V=V, dims=(3,) * V)
+            h = hyper(tau2=[0.5, 1.0, 2.0][seed % 3], alpha=0.7, beta=0.4)
+            rng = np.random.default_rng(seed)
+            for m in range(V):
+                for i in range(n):
+                    w = rng.normal(size=n)
+                    assert w_subobjective(i, m, w, P, W, ds, h) == pytest.approx(
+                        naive_w_subobjective(i, m, w, P, ds, W, h), rel=1e-12)
 
 
 class TestGradW:
@@ -115,7 +135,7 @@ class TestGradP:
         h = hyper(tau1=0.7, alpha=0.05, lam=1.4)
         analytic = grad_P(P, W, ds, h).ravel()
         numeric = fd_gradient(
-            lambda p: p_subobjective(p.reshape(P.P.shape), W, ds, h),
+            lambda p: total_loss_at(p, P, W, ds, h),
             P.P.ravel(), 1e-6)
         scale = max(np.max(np.abs(analytic)), 1.0)
         assert np.max(np.abs(analytic - numeric)) / scale < 1e-5
@@ -125,7 +145,7 @@ class TestGradP:
         h = hyper(alpha=0.1)
         analytic = grad_P(P, W, ds, h).ravel()
         numeric = fd_gradient(
-            lambda p: p_subobjective(p.reshape(P.P.shape), W, ds, h),
+            lambda p: total_loss_at(p, P, W, ds, h),
             P.P.ravel(), 1e-6)
         scale = max(np.max(np.abs(analytic)), 1.0)
         assert np.max(np.abs(analytic - numeric)) / scale < 1e-5
@@ -159,6 +179,22 @@ class TestCheckGradients:
         monkeypatch.setattr(gr, "grad_w", broken)
         report = gr.check_gradients(P, W, ds, hyper(), step=1e-6)
         assert report.max_rel_err > 1e-2
+
+    def test_corrupted_projection_gradient_detected(self, monkeypatch):
+        ds, P, W = random_instance(17)
+        import mvcontrast.gradients as gr
+
+        true_grad_P = gr.grad_P
+
+        def broken(P, W, ds, h):
+            g = true_grad_P(P, W, ds, h)
+            g.flat[np.argmax(np.abs(g))] *= 1.5
+            return g
+
+        monkeypatch.setattr(gr, "grad_P", broken)
+        report = gr.check_gradients(P, W, ds, hyper(), step=1e-6)
+        assert report.max_rel_err > 1e-2
+        assert report.worst_coordinate[0] == "P"
 
     def test_error_curve_truncation_dominates_at_large_step(self):
         ds, P, W = random_instance(16)

@@ -4,44 +4,64 @@ import numpy as np
 import pytest
 
 import mvcontrast as mv
-from mvcontrast.errors import DataError
-from oracles import (naive_reconstruction, naive_sample_infonce,
-                     naive_structural, random_instance)
+from oracles import (naive_cosine, naive_reconstruction,
+                     naive_sample_infonce, naive_structural, random_instance)
+
+
+def sim(A, B, tau, norm_eps=0.0):
+    """sim_matrix on columns given as lists of vectors."""
+    A = np.column_stack(A).astype(float)
+    B = np.column_stack(B).astype(float)
+    return mv.losses.sim_matrix(A, B, tau, norm_eps)[0]
 
 
 class TestCosineSim:
+    """Temperature-scaled cosine similarity, as losses.sim_matrix computes it."""
+
     def test_identical_unit_vectors(self):
-        assert mv.cosine_sim([1, 0], [1, 0], tau=1.0) == pytest.approx(1.0)
+        assert sim([[1, 0]], [[1, 0]], tau=1.0)[0, 0] == pytest.approx(1.0)
 
     def test_orthogonal(self):
-        assert mv.cosine_sim([1, 0], [0, 1], tau=0.5) == pytest.approx(0.0)
+        assert sim([[1, 0]], [[0, 1]], tau=0.5)[0, 0] == pytest.approx(0.0)
 
     def test_hand_computed(self):
-        # dot 24, norms 5 * 5, tau 2 -> 24 / 50
-        assert mv.cosine_sim([3, 4], [4, 3], tau=2.0) == pytest.approx(0.48)
+        # dots 24, 8, 4, 0 over norms 5*5, 5*2, 1*5, 1*2; tau 2
+        S = sim([[3, 4], [1, 0]], [[4, 3], [0, 2]], tau=2.0)
+        assert np.allclose(S, [[0.48, 0.4], [0.4, 0.0]], rtol=1e-15, atol=0)
 
     def test_symmetry(self):
         rng = np.random.default_rng(0)
-        u, v = rng.normal(size=4), rng.normal(size=4)
-        assert mv.cosine_sim(u, v, 0.7, 1e-12) == pytest.approx(
-            mv.cosine_sim(v, u, 0.7, 1e-12))
+        A, B = rng.normal(size=(4, 3)), rng.normal(size=(4, 5))
+        S_ab = mv.losses.sim_matrix(A, B, 0.7, 1e-12)[0]
+        S_ba = mv.losses.sim_matrix(B, A, 0.7, 1e-12)[0]
+        assert np.allclose(S_ab, S_ba.T, rtol=1e-14, atol=0)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(1)
-        u, v = rng.normal(size=5), rng.normal(size=5)
+        A, B = rng.normal(size=(5, 3)), rng.normal(size=(5, 4))
+        base = mv.losses.sim_matrix(A, B, 1.3, 0.0)[0]
         for c in [0.5, 3.0, 100.0]:
-            assert mv.cosine_sim(c * u, v, 1.3) == pytest.approx(
-                mv.cosine_sim(u, v, 1.3), rel=1e-12)
+            assert np.allclose(mv.losses.sim_matrix(c * A, B, 1.3, 0.0)[0], base,
+                               rtol=1e-12, atol=0)
 
     def test_bounded_by_inverse_tau(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
-            u, v = rng.normal(size=3), rng.normal(size=3)
-            assert abs(mv.cosine_sim(u, v, 0.25, 1e-12)) <= 4.0 + 1e-9
+            A, B = rng.normal(size=(3, 6)), rng.normal(size=(3, 7))
+            S = mv.losses.sim_matrix(A, B, 0.25, 1e-12)[0]
+            assert np.max(np.abs(S)) <= 4.0 + 1e-9
 
-    def test_shape_mismatch(self):
-        with pytest.raises(DataError):
-            mv.cosine_sim([1, 2], [1, 2, 3], 1.0)
+    def test_matches_nested_loop(self):
+        rng = np.random.default_rng(3)
+        for tau, norm_eps in [(1.0, 0.0), (0.3, 1e-12), (2.5, 1e-3)]:
+            A, B = rng.normal(size=(4, 6)), rng.normal(size=(4, 5))
+            S, Q, na, nb = mv.losses.sim_matrix(A, B, tau, norm_eps)
+            assert S.shape == Q.shape == (6, 5)
+            for i in range(6):
+                for k in range(5):
+                    assert S[i, k] == pytest.approx(
+                        naive_cosine(A[:, i], B[:, k], tau, norm_eps),
+                        rel=1e-12, abs=1e-12)
 
 
 class TestLogsumexp:
