@@ -7,8 +7,7 @@ from .diagnostics import (column_sum_residual, cross_view_alignment,
 from .errors import ConfigError, DataError, MvError, NumericError
 from .evaluation import (ResultsTable, evaluate_split, fuse, knn_accuracy,
                          project, run_experiment)
-from .gradients import (GradCheckReport, check_gradients, fd_gradient, grad_P,
-                        grad_w)
+from .gradients import GradCheckReport, check_gradients, grad_P, grad_w
 from .losses import (CoefficientSet, ProjectionStack, reconstruction_penalty,
                      sample_infonce, structural_contrastive, total_loss)
 from .params import Hyperparams

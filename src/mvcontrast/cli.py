@@ -4,8 +4,9 @@ Subcommands:
   synth      write synthetic views + labels as CSV
   train      fit a model, write its manifest and the loss history
   eval       run the repeated-split 1-NN protocol, write the results table
-  gradcheck  compare analytic gradients to finite differences on a small
-             seeded instance (exit 0 iff max relative error <= 1e-4)
+  gradcheck  compare analytic gradients to central differences along random
+             directions on a small seeded instance (exit 0 iff max relative
+             error <= 1e-4)
   diagnose   check the reconstruction-term identities on seeded fixtures
 """
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import data, diagnostics, evaluation, gradients, losses, trainer
 from .config import parse_config
-from .errors import MvError, NumericError
+from .errors import ConfigError, MvError, NumericError
 
 
 def _write_loss_history(history, out_dir):
@@ -108,12 +109,14 @@ def cmd_gradcheck(args):
     report = gradients.check_gradients(P, W, ds, cfg.hyper, step=args.step)
     ok = report.max_rel_err <= GRADCHECK_TOL
     print(f"max_rel_err={report.max_rel_err:.3e} "
-          f"worst={report.worst_coordinate} step={report.step:g} "
+          f"worst={report.worst_block} step={report.step:g} "
           f"{'OK' if ok else 'FAIL'}")
     return 0 if ok else 3
 
 
 def cmd_diagnose(args):
+    if args.trials < 1:
+        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     cfg = parse_config(args.config)
     rng = np.random.default_rng([int(cfg.base_seed)])
     rows = []

@@ -134,7 +134,7 @@ class RunConfig:
 
 def _synth(given):
     synth = _merge("dataset.synth", _SYNTH_DEFAULTS, given)
-    for key, low in (("V", 1), ("classes", 1), ("per_class", 1), ("seed", 0)):
+    for key, low in (("V", 2), ("classes", 1), ("per_class", 1), ("seed", 0)):
         synth[key] = _integer(f"dataset.synth.{key}", synth[key], low)
     synth["dims"] = _integers("dataset.synth.dims", synth["dims"], 1)
     if len(synth["dims"]) != synth["V"]:

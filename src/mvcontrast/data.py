@@ -189,8 +189,8 @@ def split(ds, spec):
 def synth_blobs(V, classes, per_class, dims, noise_sigma, seed,
                 center_scale=3.0):
     """Gaussian blob views: one latent center per (class, view), shared labels."""
-    if V < 1 or classes < 1 or per_class < 1:
-        raise ConfigError("V, classes and per_class must all be >= 1")
+    if V < 2 or classes < 1 or per_class < 1:
+        raise ConfigError("V must be >= 2, classes and per_class >= 1")
     if len(dims) != V:
         raise ConfigError(f"dims has {len(dims)} entries for V={V}")
     if noise_sigma < 0:

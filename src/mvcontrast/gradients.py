@@ -1,4 +1,4 @@
-"""Analytic gradients of the objective blocks, plus a finite-difference oracle.
+"""Analytic gradients of the objective blocks, plus a directional check.
 
 The alternating scheme optimizes two kinds of blocks:
 
@@ -10,8 +10,8 @@ The alternating scheme optimizes two kinds of blocks:
     reconstruction residual.
 
 Gradients are derived from the implemented losses and validated against
-central finite differences: grad_w against w_subobjective, grad_P against
-losses.total_loss itself.
+central differences along random directions: grad_w against w_subobjective,
+grad_P against losses.total_loss itself.
 """
 
 from dataclasses import dataclass
@@ -19,9 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import losses
-from .errors import NumericError
+from .errors import ConfigError, NumericError
 
 _NORM_FLOOR = 1e-300
+# random directions along which check_gradients probes grad_P
+P_DIRECTIONS = 4
 
 
 def _softmax(s):
@@ -30,16 +32,15 @@ def _softmax(s):
     return e / e.sum()
 
 
-def w_subobjective(i, m, w, P, W, ds, h, contrastive_weight=1.0):
+def w_subobjective(i, m, w, P, W, ds, h):
     """Partial objective seen by coefficient column w_i^m (others fixed)."""
     w = np.asarray(w, dtype=float)
     value = 0.0
-    if contrastive_weight != 0.0:
-        for v in range(W.V):
-            if v == m:
-                continue
-            sims = losses.sim_matrix(w[:, None], W.W[v], h.tau2, h.norm_eps)[0][0]
-            value += contrastive_weight * float(losses.logsumexp(sims) - sims[i])
+    for v in range(W.V):
+        if v == m:
+            continue
+        sims = losses.sim_matrix(w[:, None], W.W[v], h.tau2, h.norm_eps)[0][0]
+        value += float(losses.logsumexp(sims) - sims[i])
     B = P.block(m).T @ ds.views[m]
     residual = B[:, i] - B @ w
     value += h.alpha * float(residual @ residual)
@@ -58,7 +59,7 @@ def column_context(m, P, W, ds):
     return B, norms
 
 
-def grad_w(i, m, P, W, ds, h, contrastive_weight=1.0, ctx=None):
+def grad_w(i, m, P, W, ds, h, ctx=None):
     """Gradient of w_subobjective at the current column w_i^m.
 
     `ctx` is `column_context(m, P, W, ds)`, built here when not given.  Per
@@ -68,17 +69,15 @@ def grad_w(i, m, P, W, ds, h, contrastive_weight=1.0, ctx=None):
     B, norms = column_context(m, P, W, ds) if ctx is None else ctx
     w = W.W[m][:, i]
     grad = np.zeros_like(w)
-    if contrastive_weight != 0.0:
-        nw = max(np.linalg.norm(w), _NORM_FLOOR)
-        for v, nu in norms.items():
-            U = W.W[v]
-            q = nw * nu + h.norm_eps
-            s = (U.T @ w) / (q * h.tau2)
-            coeff = _softmax(s)
-            coeff[i] -= 1.0
-            grad += contrastive_weight * (
-                U @ (coeff / (q * h.tau2))
-                - float(np.sum(coeff * s * nu / q)) / nw * w)
+    nw = max(np.linalg.norm(w), _NORM_FLOOR)
+    for v, nu in norms.items():
+        U = W.W[v]
+        q = nw * nu + h.norm_eps
+        s = (U.T @ w) / (q * h.tau2)
+        coeff = _softmax(s)
+        coeff[i] -= 1.0
+        grad += (U @ (coeff / (q * h.tau2))
+                 - float(np.sum(coeff * s * nu / q)) / nw * w)
     grad += 2.0 * h.alpha * (B.T @ (B @ w - B[:, i])) + 2.0 * h.beta * w
     if not np.all(np.isfinite(grad)):
         raise NumericError(f"non-finite gradient for column ({i}, view {m})")
@@ -134,59 +133,52 @@ def grad_P(P, W, ds, h):
     return grad
 
 
-def fd_gradient(f, x, step):
-    """Central finite differences of a scalar function of a flat vector."""
-    x = np.asarray(x, dtype=float)
-    grad = np.zeros_like(x)
-    for j in range(x.size):
-        xp = x.copy()
-        xp[j] += step
-        fp = f(xp)
-        xm = x.copy()
-        xm[j] -= step
-        fm = f(xm)
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise NumericError(f"non-finite function value at coordinate {j}")
-        grad[j] = (fp - fm) / (2.0 * step)
-    return grad
-
-
 @dataclass
 class GradCheckReport:
     max_rel_err: float
-    worst_coordinate: tuple
+    worst_block: tuple
     step: float
 
 
-def _rel_err(analytic, numeric):
-    scale = max(np.max(np.abs(analytic)), np.max(np.abs(numeric)), 1e-12)
-    return float(np.max(np.abs(analytic - numeric))) / scale
-
-
 def check_gradients(P, W, ds, h, step=1e-6):
-    """Compare every analytic block gradient against the FD oracle."""
-    worst = GradCheckReport(max_rel_err=-1.0, worst_coordinate=(), step=step)
+    """Compare each analytic gradient with a central difference along random
+    unit directions u, drawn from a fixed seed so reports are deterministic.
 
-    def consider(tag, analytic, numeric):
+    Every coefficient column w_i^m gets one direction, against
+    w_subobjective; the stacked projection gets P_DIRECTIONS, against
+    total_loss.  A direction scores |<g, u> - fd| / max(||g||, |fd|, 1e-12),
+    so one nearly orthogonal to g cannot fail spuriously.  The report holds
+    the worst score and its block, ("w", m, i) or ("P",).
+    """
+    if not (np.isfinite(step) and step > 0):
+        raise ConfigError(f"gradient check step must be finite and > 0, got {step}")
+    rng = np.random.default_rng(0)
+    worst = GradCheckReport(max_rel_err=-1.0, worst_block=(), step=step)
+
+    def consider(block, f, x, analytic):
         nonlocal worst
-        err = _rel_err(analytic, numeric)
+        u = rng.normal(size=x.shape)
+        u /= np.linalg.norm(u)
+        fp, fm = f(x + step * u), f(x - step * u)
+        if not (np.isfinite(fp) and np.isfinite(fm)):
+            raise NumericError(f"non-finite objective value probing block {block}")
+        numeric = (fp - fm) / (2.0 * step)
+        err = abs(float(np.sum(analytic * u)) - numeric) / max(
+            float(np.linalg.norm(analytic)), abs(numeric), 1e-12)
         if err > worst.max_rel_err:
-            j = int(np.argmax(np.abs(analytic - numeric)))
-            worst = GradCheckReport(max_rel_err=err,
-                                    worst_coordinate=tag + (j,), step=step)
+            worst = GradCheckReport(max_rel_err=err, worst_block=block, step=step)
 
     for m in range(W.V):
+        ctx = column_context(m, P, W, ds)
         for i in range(W.n):
-            analytic = grad_w(i, m, P, W, ds, h)
-            numeric = fd_gradient(
-                lambda w: w_subobjective(i, m, w, P, W, ds, h),
-                W.W[m][:, i], step)
-            consider(("w", m, i), analytic, numeric)
+            consider(("w", m, i),
+                     lambda w: w_subobjective(i, m, w, P, W, ds, h),
+                     W.W[m][:, i], grad_w(i, m, P, W, ds, h, ctx=ctx))
 
-    analytic = grad_P(P, W, ds, h).ravel()
-    numeric = fd_gradient(
-        lambda p: losses.total_loss(
-            losses.ProjectionStack(p.reshape(P.P.shape), ds.view_dims), W, ds, h),
-        P.P.ravel(), step)
-    consider(("P",), analytic, numeric)
+    analytic = grad_P(P, W, ds, h)
+    for _ in range(P_DIRECTIONS):
+        consider(("P",),
+                 lambda p: losses.total_loss(
+                     losses.ProjectionStack(p, ds.view_dims), W, ds, h),
+                 P.P, analytic)
     return worst

@@ -123,6 +123,20 @@ def naive_reconstruction(P, ds, W, h):
     return total
 
 
+def fd_gradient(f, x, step):
+    """Central differences of a scalar function of a flat vector, one
+    coordinate at a time."""
+    x = np.asarray(x, dtype=float)
+    grad = np.zeros_like(x)
+    for j in range(x.size):
+        xp = x.copy()
+        xp[j] += step
+        xm = x.copy()
+        xm[j] -= step
+        grad[j] = (f(xp) - f(xm)) / (2.0 * step)
+    return grad
+
+
 def naive_scatter(Wm):
     n = Wm.shape[0]
     S = np.zeros((n, n))

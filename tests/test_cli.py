@@ -205,6 +205,18 @@ class TestGradcheckDiagnose:
         assert code in (0, 3)  # either way, no crash and a report line
         assert "max_rel_err" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("step", ["0", "nan", "inf", "-0.5"])
+    def test_gradcheck_bad_step_exit_1(self, tmp_path, capsys, step):
+        cfg = write_config(tmp_path / "c.json", {"dataset": {"synth": {}}})
+        assert main(["gradcheck", "--config", cfg, "--step", step]) == 1
+        assert "error: ConfigError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_diagnose_no_trials_exit_1(self, tmp_path, capsys, trials):
+        cfg = write_config(tmp_path / "c.json", {"dataset": {"synth": {}}})
+        assert main(["diagnose", "--config", cfg, "--trials", trials]) == 1
+        assert "error: ConfigError" in capsys.readouterr().err
+
     def test_diagnose_exit_0_and_csv(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", {"dataset": {"synth": {}}})
         assert main(["diagnose", "--config", cfg, "--trials", "10"]) == 0
@@ -329,6 +341,7 @@ BAD_CONFIGS = {
     "synth dims as a number": {"dataset": {"synth": {"dims": 8}}},
     "fractional synth per_class": {"dataset": {"synth": {"per_class": 2.5}}},
     "synth noise_sigma as a string": {"dataset": {"synth": {"noise_sigma": "a"}}},
+    "synth with one view": {"dataset": {"synth": {"V": 1, "dims": [8]}}},
 }
 
 

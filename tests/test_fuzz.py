@@ -1,10 +1,12 @@
-"""Fuzz the config parser and the matrix-file and model readers.
+"""Fuzz the config parser, the matrix-file and model readers and the
+numeric CLI flags.
 
 Whatever a config holds, `build_config` either accepts it or raises
-ConfigError.  Whatever a view, label or projection file holds, the CLI must
-end with one of its exit codes; any other exception escaping `cli.main`
-fails the test, and so does a numpy RuntimeWarning (a bad value that got
-past the readers), which the pytest configuration turns into an error.
+ConfigError.  Whatever a view, label or projection file holds, and whatever
+`gradcheck --step` or `diagnose --trials` is given, the CLI must end with one
+of its exit codes; any other exception escaping `cli.main` fails the test,
+and so does a numpy RuntimeWarning (a bad value that got past the readers),
+which the pytest configuration turns into an error.
 """
 
 import contextlib
@@ -14,7 +16,7 @@ import os
 import pathlib
 import tempfile
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mvcontrast as mv
@@ -111,3 +113,32 @@ def test_build_config_raises_only_config_error(raw):
         assert all(type(v) is int and v >= 1 for v in values)
     assert type(cfg.repeats) is int and cfg.repeats >= 1
     assert type(cfg.base_seed) is int and cfg.base_seed >= 0
+
+
+def run_cli(*argv):
+    """Exit code and stderr of `cli.main` on a default synthetic config."""
+    with tempfile.TemporaryDirectory() as root:
+        cfg = os.path.join(root, "c.json")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            fh.write('{"dataset": {"synth": {}}}')
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([argv[0], "--config", cfg, *argv[1:]])
+    return code, err.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(step=st.floats())
+@example(step=0.0)
+def test_gradcheck_step_exits_cleanly(step):
+    code, err = run_cli("gradcheck", f"--step={step!r}")
+    assert code in {0, 1, 3}
+    assert "Traceback" not in err
+
+
+@settings(max_examples=40, deadline=None)
+@given(trials=st.integers(-5, 30))
+def test_diagnose_trials_exits_cleanly(trials):
+    code, err = run_cli("diagnose", f"--trials={trials}")
+    assert code in {0, 1, 3}
+    assert "Traceback" not in err

@@ -1,11 +1,14 @@
+import time
+
 import numpy as np
 import pytest
 
 import mvcontrast as mv
 from mvcontrast.errors import NumericError
-from mvcontrast.gradients import (check_gradients, column_context,
-                                  fd_gradient, grad_P, grad_w, w_subobjective)
-from oracles import naive_w_subobjective, random_instance
+from mvcontrast.cli import gradcheck_instance
+from mvcontrast.gradients import (check_gradients, column_context, grad_P,
+                                  grad_w, w_subobjective)
+from oracles import fd_gradient, naive_w_subobjective, random_instance
 
 
 def hyper(**kw):
@@ -20,6 +23,13 @@ def total_loss_at(p, P, W, ds, h):
                          W, ds, h)
 
 
+def ridge_gradient(i, m, w, P, ds, h):
+    """2 alpha B^T (B w - B_i) + 2 beta w with B = P_m^T X^m: the gradient
+    of the alpha and beta terms of w_subobjective, in closed form."""
+    B = P.block(m).T @ ds.views[m]
+    return 2.0 * h.alpha * B.T @ (B @ w - B[:, i]) + 2.0 * h.beta * w
+
+
 class TestFdGradient:
     def test_quadratic(self):
         g = fd_gradient(lambda x: float(x @ x), np.array([1.0, 2.0]), 1e-6)
@@ -32,13 +42,6 @@ class TestFdGradient:
     def test_bilinear(self):
         g = fd_gradient(lambda x: x[0] * x[1], np.array([3.0, 5.0]), 1e-6)
         assert np.allclose(g, [5.0, 3.0], atol=1e-7)
-
-    def test_nonfinite_reported(self):
-        def bad(x):
-            return float("nan") if x[1] > 1.5 else 0.0
-
-        with pytest.raises(NumericError, match="coordinate 1"):
-            fd_gradient(bad, np.array([0.0, 1.5 - 1e-7]), 1e-6)
 
 
 class TestWSubobjective:
@@ -58,8 +61,9 @@ class TestWSubobjective:
 
 class TestGradW:
     def test_ridge_stationary_point(self):
-        # with the contrastive seam disabled the subproblem is ridge
-        # regression; its closed-form solution has zero gradient
+        # the alpha and beta terms form a ridge regression; at its closed-form
+        # solution grad_w less the ridge gradient is the contrastive part
+        # alone, which alpha = beta ~ 0 isolates
         ds, P, W = random_instance(0)
         h = hyper(alpha=0.8, beta=0.3)
         i, m = 2, 0
@@ -68,7 +72,10 @@ class TestGradW:
         w_star = np.linalg.solve(B.T @ B + (h.beta / h.alpha) * np.eye(n),
                                  B.T @ B[:, i])
         W.W[m][:, i] = w_star
-        g = grad_w(i, m, P, W, ds, h, contrastive_weight=0.0)
+        ridge = ridge_gradient(i, m, w_star, P, ds, h)
+        assert np.max(np.abs(ridge)) < 1e-9
+        g_contrastive = grad_w(i, m, P, W, ds, hyper(alpha=1e-300, beta=1e-300))
+        g = grad_w(i, m, P, W, ds, h) - ridge - g_contrastive
         assert np.max(np.abs(g)) < 1e-9
 
     def test_matches_finite_differences(self):
@@ -92,8 +99,7 @@ class TestGradW:
             for i in range(5):
                 w = W.W[m][:, i]
                 g_full = grad_w(i, m, P, W, ds, h)
-                g_quad = grad_w(i, m, P, W, ds, h, contrastive_weight=0.0)
-                g_contrastive = g_full - g_quad
+                g_contrastive = g_full - ridge_gradient(i, m, w, P, ds, h)
                 proj = abs(g_contrastive @ w)
                 assert proj <= 1e-6 * np.linalg.norm(g_contrastive) * np.linalg.norm(w) + 1e-12
 
@@ -171,8 +177,8 @@ class TestCheckGradients:
 
         true_grad_w = gr.grad_w
 
-        def broken(i, m, P, W, ds, h, contrastive_weight=1.0):
-            g = true_grad_w(i, m, P, W, ds, h, contrastive_weight)
+        def broken(*args, **kwargs):
+            g = true_grad_w(*args, **kwargs)
             g[0] *= 1.5
             return g
 
@@ -194,7 +200,46 @@ class TestCheckGradients:
         monkeypatch.setattr(gr, "grad_P", broken)
         report = gr.check_gradients(P, W, ds, hyper(), step=1e-6)
         assert report.max_rel_err > 1e-2
-        assert report.worst_coordinate[0] == "P"
+        assert report.worst_block == ("P",)
+
+    def test_corrupted_column_gradient_named(self, monkeypatch):
+        ds, P, W = random_instance(18, n=6, V=3, dims=(4, 3, 5))
+        import mvcontrast.gradients as gr
+
+        true_grad_w = gr.grad_w
+
+        def broken(i, m, *args, **kwargs):
+            g = true_grad_w(i, m, *args, **kwargs)
+            if m == 2:
+                g[0] *= 1.5
+            return g
+
+        monkeypatch.setattr(gr, "grad_w", broken)
+        report = gr.check_gradients(P, W, ds, hyper(), step=1e-6)
+        assert report.max_rel_err > 1e-2
+        assert report.worst_block[:2] == ("w", 2)
+
+    def test_nonfinite_probe_raises(self, monkeypatch):
+        ds, P, W = random_instance(19)
+        import mvcontrast.gradients as gr
+
+        monkeypatch.setattr(gr, "w_subobjective", lambda *args: float("nan"))
+        with pytest.raises(NumericError, match=r"\('w', 0, 0\)"):
+            gr.check_gradients(P, W, ds, hyper(), step=1e-6)
+
+    def test_reports_are_deterministic(self):
+        ds, P, W = random_instance(20, n=6, V=3, dims=(4, 3, 5))
+        first = check_gradients(P, W, ds, hyper(), step=1e-6)
+        assert check_gradients(P, W, ds, hyper(), step=1e-6) == first
+
+    def test_wide_instance_passes(self):
+        ds, P, W = gradcheck_instance(1, n=600, V=3, dims=(5, 4, 6), d=3)
+        t0 = time.perf_counter()
+        report = check_gradients(P, W, ds, hyper(d=3), step=1e-6)
+        elapsed = time.perf_counter() - t0
+        assert report.max_rel_err <= 1e-4, report
+        if elapsed > 60.0:
+            pytest.skip(f"n=600 check took {elapsed:.0f} s, more than 60 s")
 
     def test_error_curve_truncation_dominates_at_large_step(self):
         ds, P, W = random_instance(16)
