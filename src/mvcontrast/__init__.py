@@ -5,8 +5,8 @@ from .data import (MultiViewDataset, SplitSpec, load_views, save_views, split,
 from .diagnostics import (column_sum_residual, cross_view_alignment,
                           laplacian_equivalence_gap, scatter_matrix)
 from .errors import ConfigError, DataError, MvError, NumericError
-from .evaluation import (ResultsTable, evaluate_split, fuse, knn_accuracy,
-                         project, run_experiment)
+from .evaluation import (ResultsTable, evaluate_split, knn_accuracy, project,
+                         run_experiment)
 from .gradients import GradCheckReport, check_gradients, grad_P, grad_w
 from .losses import (CoefficientSet, ProjectionStack, reconstruction_penalty,
                      sample_infonce, structural_contrastive, total_loss)

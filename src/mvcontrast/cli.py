@@ -36,7 +36,6 @@ def cmd_synth(args):
     if cfg.synth is None:
         raise MvError("synth subcommand needs a dataset.synth section")
     ds = cfg.load_dataset()
-    os.makedirs(args.out, exist_ok=True)
     data.save_views(ds, args.out)
     cfg.write_echo(args.out)
     print(f"wrote {ds.V} views ({ds.n} samples) to {args.out}")
@@ -47,7 +46,6 @@ def cmd_train(args):
     cfg = parse_config(args.config)
     ds = cfg.load_dataset()
     model, state = trainer.fit(ds, cfg.hyper, seed=cfg.base_seed)
-    os.makedirs(args.out, exist_ok=True)
     trainer.save_model(model, args.out, view_names=ds.view_names)
     _write_loss_history(state.loss_history, args.out)
     cfg.write_echo(args.out)
@@ -63,7 +61,8 @@ def cmd_eval(args):
     if fixed_model is not None:
         # fail fast on shape mismatches before any splitting
         evaluation.project(fixed_model, ds)
-    d_values = cfg.d_sweep or [cfg.hyper.d]
+    # a fixed model ignores d, so each d would repeat the same protocol
+    d_values = cfg.d_sweep if cfg.d_sweep and fixed_model is None else [cfg.hyper.d]
     best_tables = []
     for M in cfg.M_values:
         candidates = []
@@ -141,8 +140,13 @@ def cmd_diagnose(args):
     return 0 if all_ok else 3
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # argparse would exit 2, the DataError code
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mvcontrast",
         description="Multi-view feature extraction with dual contrastive losses")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -178,15 +182,17 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         # an overflow or invalid operation stops the run as a NumericError
         # instead of warning and carrying inf/NaN into the outputs
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             return args.func(args)
     except FloatingPointError as exc:
         error = NumericError(f"floating-point {exc}")
+    except OSError as exc:
+        # the readers wrap their own OSErrors, so this one came from an output
+        error = ConfigError(f"cannot write output: {exc}")
     except MvError as exc:
         error = exc
     print(f"error: {type(error).__name__}: {error}", file=sys.stderr)

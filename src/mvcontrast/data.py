@@ -59,12 +59,6 @@ class MultiViewDataset:
     def view_dims(self):
         return [v.shape[0] for v in self.views]
 
-    def class_sizes(self):
-        if self.labels is None:
-            raise ConfigError("dataset has no labels")
-        _, counts = np.unique(self.labels, return_counts=True)
-        return counts
-
 
 @dataclass
 class SplitSpec:
@@ -131,12 +125,11 @@ def load_views(view_paths, label_path=None):
                             view_names=names)
 
 
-def save_views(ds, out_dir, basenames=None):
+def save_views(ds, out_dir):
     """Write the dataset back to sample-major CSV files; returns the paths."""
     os.makedirs(out_dir, exist_ok=True)
-    basenames = basenames or ds.view_names
     paths = []
-    for name, view in zip(basenames, ds.views):
+    for name, view in zip(ds.view_names, ds.views):
         path = os.path.join(out_dir, f"{name}.csv")
         write_matrix(path, view.T)
         paths.append(path)
@@ -161,14 +154,14 @@ def split(ds, spec):
     """Pick per_class training samples per class; the rest become the test set."""
     if ds.labels is None:
         raise ConfigError("split requires labels")
-    sizes = ds.class_sizes()
+    classes, sizes = np.unique(ds.labels, return_counts=True)
     if spec.per_class >= sizes.min():
         raise ConfigError(
             f"per_class={spec.per_class} must be smaller than the smallest "
             f"class size {sizes.min()}")
     rng = _split_rng(spec)
     train_idx = []
-    for cls in np.unique(ds.labels):
+    for cls in classes:
         members = np.flatnonzero(ds.labels == cls)
         chosen = rng.choice(members, size=spec.per_class, replace=False)
         train_idx.extend(chosen.tolist())

@@ -30,17 +30,9 @@ def project(model, ds):
     return out
 
 
-def fuse(model, ds):
-    """Fusion embedding Y = P_1^T X_1 + ... + P_V^T X_V."""
-    embeddings = project(model, ds)
-    return np.sum(embeddings, axis=0)
-
-
-def knn_accuracy(train_emb, train_labels, test_emb, test_labels, k=1):
+def knn_accuracy(train_emb, train_labels, test_emb, test_labels):
     """1-NN accuracy under squared Euclidean distance; ties go to the
     smallest training index."""
-    if k != 1:
-        raise ConfigError(f"only k=1 is supported, got k={k}")
     train_emb = np.asarray(train_emb, dtype=float)
     test_emb = np.asarray(test_emb, dtype=float)
     if train_emb.shape[1] == 0:
@@ -130,10 +122,7 @@ def run_experiment(ds, h, M, repeats, base_seed, fixed_model=None):
         raise ConfigError("run_experiment requires labels")
     if repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
-    labels = ds.view_names
-    acc_view = [[] for _ in range(ds.V)]
-    acc_mean = []
-    acc_fused = []
+    rows = []  # per repeat: the per-view accuracies, their mean, fused
     for r in range(repeats):
         spec = SplitSpec(per_class=M, seed=base_seed, repeat_index=r)
         train_ds, test_ds = split(ds, spec)
@@ -142,15 +131,10 @@ def run_experiment(ds, h, M, repeats, base_seed, fixed_model=None):
         else:
             model = fixed_model
         per_view, mean_acc, fused_acc = evaluate_split(model, train_ds, test_ds)
-        for m in range(ds.V):
-            acc_view[m].append(per_view[m])
-        acc_mean.append(mean_acc)
-        acc_fused.append(fused_acc)
+        rows.append([*per_view, mean_acc, fused_acc])
     table = ResultsTable(repeats=repeats)
-    for m in range(ds.V):
-        table.add(labels[m], M, acc_view[m])
-    table.add("Mean", M, acc_mean)
-    table.add("fused", M, acc_fused)
+    for label, accuracies in zip([*ds.view_names, "Mean", "fused"], zip(*rows)):
+        table.add(label, M, accuracies)
     return table
 
 

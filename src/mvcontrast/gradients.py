@@ -9,9 +9,10 @@ The alternating scheme optimizes two kinds of blocks:
     part is the sample-level InfoNCE plus the (lam * alpha)-weighted
     reconstruction residual.
 
-Gradients are derived from the implemented losses and validated against
-central differences along random directions: grad_w against w_subobjective,
-grad_P against losses.total_loss itself.
+Gradients are derived from the implemented losses (grad_P from the pairing
+of losses.sample_logits) and validated against central differences along
+random directions: grad_w against w_subobjective, grad_P against
+losses.total_loss itself.
 """
 
 from dataclasses import dataclass
@@ -41,7 +42,7 @@ def w_subobjective(i, m, w, P, W, ds, h):
             continue
         sims = losses.sim_matrix(w[:, None], W.W[v], h.tau2, h.norm_eps)[0][0]
         value += float(losses.logsumexp(sims) - sims[i])
-    B = P.block(m).T @ ds.views[m]
+    B = losses.view_embeddings(P, ds)[m]
     residual = B[:, i] - B @ w
     value += h.alpha * float(residual @ residual)
     value += h.beta * float(w @ w)
@@ -54,7 +55,7 @@ def column_context(m, P, W, ds):
     Valid only while W^m is the only block that changes; rebuild it after P
     or any other W^v moves.
     """
-    B = P.block(m).T @ ds.views[m]
+    B = losses.view_embeddings(P, ds)[m]
     norms = {v: np.linalg.norm(W.W[v], axis=0) for v in range(W.V) if v != m}
     return B, norms
 
@@ -92,22 +93,15 @@ def grad_P(P, W, ds, h):
     blocks = [np.zeros_like(P.block(m)) for m in range(V)]
 
     for m in range(V):
-        others = [v for v in range(V) if v != m]
-        sims = {}
-        for v in others:
-            S, Q, _, _ = losses.sim_matrix(Y[m], Y[v], h.tau1, h.norm_eps)
-            sims[v] = (S, Q)
-        stacked = np.concatenate([sims[v][0] for v in others], axis=1)
+        others, sims, logits, pos = losses.sample_logits(Y, m, h)
         # softmax over every comparison pair, and over the positives only
-        zmax = stacked.max(axis=1, keepdims=True)
-        exps = np.exp(stacked - zmax)
+        zmax = logits.max(axis=1, keepdims=True)
+        exps = np.exp(logits - zmax)
         denom_all = exps.sum(axis=1)
-        pos = np.stack([np.diagonal(sims[v][0]) for v in others], axis=1)
         pexp = np.exp(pos - zmax)
         denom_pos = pexp.sum(axis=1)
 
-        for j, v in enumerate(others):
-            S, Q = sims[v]
+        for j, (v, (S, Q)) in enumerate(zip(others, sims)):
             omega = exps[:, j * n:(j + 1) * n] / denom_all[:, None]
             np.fill_diagonal(omega, omega.diagonal() - pexp[:, j] / denom_pos)
             omega /= n
@@ -120,6 +114,7 @@ def grad_P(P, W, ds, h):
             r_comp = (ratio * norms[m][:, None]).sum(axis=0) / nv
             blocks[m] += ds.views[m] @ (G @ Y[v].T - r_anchor[:, None] * Y[m].T)
             blocks[v] += ds.views[v] @ (G.T @ Y[m].T - r_comp[:, None] * Y[v].T)
+        del sims, S, Q  # free view m's (S, Q) pairs before the next view's are built
 
     for m in range(V):
         IW = np.eye(n) - W.W[m]

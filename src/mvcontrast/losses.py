@@ -1,9 +1,9 @@
 """The dual contrastive objective.
 
 Three pieces:
-  * sample-level InfoNCE over projected embeddings, with the cross-view
-    pairing (same sample in other views = positives, other samples in other
-    views = negatives);
+  * sample-level InfoNCE over the embeddings Y^m = P_m^T X^m, with the
+    cross-view pairing (same sample in other views = positives, other
+    samples in other views = negatives);
   * structural-level InfoNCE over the columns of the per-view
     self-reconstruction matrices W^m;
   * a reconstruction penalty  alpha * ||Y^m - Y^m W^m||_F^2 + beta * ||W^m||_F^2
@@ -11,7 +11,8 @@ Three pieces:
 
 Total objective: sample_infonce + lam * (structural_contrastive +
 reconstruction_penalty).  Every softmax-style term goes through a max-shifted
-log-sum-exp path.
+log-sum-exp path.  Y^m is formed only in `view_embeddings`, the pairing
+only in `sample_logits`.
 """
 
 from dataclasses import dataclass
@@ -37,14 +38,6 @@ class ProjectionStack:
             raise DataError(
                 f"P has {self.P.shape[0]} rows, view dims sum to {sum(self.view_dims)}")
         self.offsets = view_offsets(self.view_dims)
-
-    @property
-    def d(self):
-        return self.P.shape[1]
-
-    @property
-    def V(self):
-        return len(self.view_dims)
 
     def block(self, m):
         """The per-view projection P_m (D_m x d)."""
@@ -112,27 +105,31 @@ def sim_matrix(A, B, tau, norm_eps):
     return S, Q, na, nb
 
 
+def sample_logits(Y, m, h):
+    """Anchor view m's pairing, (others, sims, logits, pos): the other views
+    v, their sim_matrix(Y^m, Y^v) pairs (S, Q), the S side by side
+    (n x (V-1)n) and the positives diag(S) (n x (V-1))."""
+    others = [v for v in range(len(Y)) if v != m]
+    sims = [sim_matrix(Y[m], Y[v], h.tau1, h.norm_eps)[:2] for v in others]
+    logits = np.concatenate([S for S, _ in sims], axis=1)
+    pos = np.stack([np.diagonal(S) for S, _ in sims], axis=1)
+    return others, sims, logits, pos
+
+
 def sample_infonce(P, ds, h):
     """Sample-level InfoNCE with cross-view pairing, summed over views.
 
     For anchor y_i^m the positives are {y_i^v : v != m} and the negatives are
-    {y_k^v : v != m, k != i}; each anchor contributes
+    {y_k^v : v != m, k != i} (see sample_logits); each anchor contributes
     -log(sum_pos e^sim / (sum_pos e^sim + sum_neg e^sim)) and anchors are
     averaged within each view.  With n = 1 there are no negatives and the
     loss is exactly 0.
     """
     Y = view_embeddings(P, ds)
-    n, V = ds.n, ds.V
-    # S[m][v]: anchors of view m (rows) against comparisons of view v (cols)
     total = 0.0
-    for m in range(V):
-        others = [v for v in range(V) if v != m]
-        all_sims = np.concatenate(
-            [sim_matrix(Y[m], Y[v], h.tau1, h.norm_eps)[0] for v in others], axis=1)
-        pos = np.concatenate(
-            [all_sims[:, j * n:(j + 1) * n].diagonal()[:, None]
-             for j in range(len(others))], axis=1)
-        terms = logsumexp(all_sims, axis=1) - logsumexp(pos, axis=1)
+    for m in range(ds.V):
+        logits, pos = sample_logits(Y, m, h)[2:]
+        terms = logsumexp(logits, axis=1) - logsumexp(pos, axis=1)
         if not np.all(np.isfinite(terms)):
             bad = int(np.flatnonzero(~np.isfinite(terms))[0])
             raise NumericError(f"non-finite InfoNCE term at view {m}, anchor {bad}")
@@ -165,11 +162,10 @@ def structural_contrastive(W, h):
 def reconstruction_penalty(P, ds, W, h):
     """sum_m alpha ||Y^m - Y^m W^m||_F^2 + beta ||W^m||_F^2."""
     total = 0.0
-    for m in range(ds.V):
-        Ym = P.block(m).T @ ds.views[m]
-        residual = Ym - Ym @ W.W[m]
+    for Ym, Wm in zip(view_embeddings(P, ds), W.W):
+        residual = Ym - Ym @ Wm
         total += h.alpha * float(np.sum(residual ** 2))
-        total += h.beta * float(np.sum(W.W[m] ** 2))
+        total += h.beta * float(np.sum(Wm ** 2))
     return total
 
 

@@ -103,12 +103,9 @@ def sweep_W(state, ds, h):
     for m in range(W.V):
         ctx = gradients.column_context(m, state.P, W, ds)
         for i in range(W.n):
-            try:
-                g = gradients.grad_w(i, m, state.P, W, ds, h, ctx=ctx)
-                new_col, state.adam_W[m][i] = adam_step(
-                    W.W[m][:, i], g, state.adam_W[m][i], h)
-            except NumericError as exc:
-                raise NumericError(f"column ({i}, view {m}): {exc}") from exc
+            g = gradients.grad_w(i, m, state.P, W, ds, h, ctx=ctx)
+            new_col, state.adam_W[m][i] = adam_step(
+                W.W[m][:, i], g, state.adam_W[m][i], h)
             max_step = max(max_step, float(np.max(np.abs(new_col - W.W[m][:, i]))))
             W.W[m][:, i] = new_col
     state.last_max_step = max_step

@@ -25,6 +25,14 @@ SYNTH_SMALL = {
 }
 
 
+def run_module(*argv):
+    """Exit code, stdout and stderr of `python -m mvcontrast.cli` run apart."""
+    proc = subprocess.run([sys.executable, "-m", "mvcontrast.cli", *argv],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    return proc.returncode, proc.stdout, proc.stderr
+
+
 def write_file_dataset(tmp_path):
     """A small labelled two-view CSV set, its config and a d=2 model."""
     ds = mv.synth_blobs(2, 2, 4, [4, 4], 0.2, 0)
@@ -179,6 +187,24 @@ class TestSynthTrainEval:
         Ms = {line.split(",")[1] for line in csv[1:]}
         assert Ms == {"2", "3"}
 
+    def test_eval_model_runs_once_per_M(self, tmp_path, capsys, monkeypatch):
+        # a fixed model ignores d, so a d sweep would only repeat the protocol
+        cfg, paths, label_path = write_file_dataset(tmp_path)
+        calls = []
+        run = mv.evaluation.run_experiment
+        monkeypatch.setattr(mv.evaluation, "run_experiment",
+                            lambda *a, **kw: calls.append(kw["M"]) or run(*a, **kw))
+        tables = []
+        for d_sweep in (None, [1, 2, 3, 4]):
+            obj = dict(SYNTH_SMALL, dataset={"views": paths, "labels": label_path},
+                       experiment={"M": [2, 3], "repeats": 2, "d_sweep": d_sweep})
+            out = tmp_path / f"r{len(tables)}"
+            assert main(["eval", "--config", write_config(tmp_path / "c2.json", obj),
+                         "--model", str(tmp_path / "model"), "--out", str(out)]) == 0
+            tables.append((out / "results.csv").read_bytes())
+        assert calls == [2, 3, 2, 3]
+        assert tables[0] == tables[1]
+
     def test_mismatched_model_dims_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", SYNTH_SMALL)
         model_dir = tmp_path / "model"
@@ -225,6 +251,23 @@ class TestGradcheckDiagnose:
         assert len(lines) == 21
         assert all(line.endswith(",1") for line in lines[1:])
 
+    @pytest.mark.parametrize("args,message", [
+        (["diagnose", "--config", "CFG", "--trials", "x"], "invalid int value: 'x'"),
+        (["gradcheck", "--config", "CFG", "--step", "-1e-6"],
+         "--step: expected one argument"),
+        (["unknown", "--config", "CFG"], "invalid choice: 'unknown'"),
+        ([], "required: command"),
+    ], ids=["trials-not-int", "step-read-as-flag", "unknown-command", "no-command"])
+    def test_usage_error_exit_1(self, tmp_path, capsys, args, message):
+        cfg = write_config(tmp_path / "c.json", {"dataset": {"synth": {}}})
+        assert main([cfg if a == "CFG" else a for a in args]) == 1
+        err = capsys.readouterr().err
+        assert "error: ConfigError" in err and message in err
+
+    def test_help_exit_0(self):
+        code, out, err = run_module("gradcheck", "--help")
+        assert code == 0 and "usage:" in out and err == ""
+
     def test_config_error_exit_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", {"dataset": {}})
         assert main(["gradcheck", "--config", cfg]) == 1
@@ -235,6 +278,37 @@ class TestGradcheckDiagnose:
             "dataset": {"views": [str(tmp_path / "nope.csv")]}})
         assert main(["train", "--config", cfg, "--out", str(tmp_path / "m")]) == 2
         assert "error: DataError" in capsys.readouterr().err
+
+
+class TestUnwritableOutput:
+    """An output path naming a file is a ConfigError (exit 1), not a traceback."""
+
+    def check(self, code, err, path):
+        assert code == 1
+        assert "error: ConfigError: cannot write output" in err and str(path) in err
+        assert "Traceback" not in err
+
+    def test_synth_out_is_a_file(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", SYNTH_SMALL)
+        out = tmp_path / "taken"
+        out.write_text("")
+        code, _, err = run_module("synth", "--config", cfg, "--out", str(out))
+        self.check(code, err, out)
+
+    def test_train_out_below_a_file(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", SYNTH_SMALL)
+        (tmp_path / "taken").write_text("")
+        out = tmp_path / "taken" / "sub"
+        code, _, err = run_module("train", "--config", cfg, "--out", str(out))
+        self.check(code, err, out)
+
+    def test_eval_output_dir_is_a_file(self, tmp_path):
+        out = tmp_path / "taken"
+        out.write_text("")
+        cfg = write_config(tmp_path / "c.json",
+                           dict(SYNTH_SMALL, output={"dir": str(out)}))
+        code, _, err = run_module("eval", "--config", cfg)
+        self.check(code, err, out)
 
 
 BAD_MATRIX_FILES = {

@@ -57,32 +57,6 @@ class TestProject:
             mv.project(model, ds)
 
 
-class TestFuse:
-    def test_zero_second_view(self):
-        rng = np.random.default_rng(3)
-        P1 = rng.normal(size=(3, 2))
-        ds = mv.MultiViewDataset(views=[rng.normal(size=(3, 4)),
-                                        rng.normal(size=(3, 4))])
-        model = make_model([P1, np.zeros((3, 2))])
-        assert np.allclose(mv.fuse(model, ds), P1.T @ ds.views[0], atol=1e-15)
-
-    def test_duplicated_view_doubles(self):
-        rng = np.random.default_rng(4)
-        P1 = rng.normal(size=(3, 2))
-        X = rng.normal(size=(3, 4))
-        ds = mv.MultiViewDataset(views=[X, X.copy()])
-        model = make_model([P1, P1.copy()])
-        assert np.allclose(mv.fuse(model, ds), 2 * (P1.T @ X), atol=1e-14)
-
-    def test_sum_of_projections(self):
-        rng = np.random.default_rng(5)
-        ds = mv.MultiViewDataset(views=[rng.normal(size=(3, 4)),
-                                        rng.normal(size=(5, 4))])
-        model = make_model([rng.normal(size=(3, 2)), rng.normal(size=(5, 2))])
-        assert np.allclose(mv.fuse(model, ds), sum(mv.project(model, ds)),
-                           atol=1e-15)
-
-
 class TestKnnAccuracy:
     def test_exact_match_wins(self):
         train = np.array([[0.0, 1.0], [0.0, 1.0]])
@@ -123,10 +97,6 @@ class TestKnnAccuracy:
             shift = np.random.default_rng(seed + 50).normal(size=(3, 1))
             assert mv.knn_accuracy(Q @ train + shift, tl,
                                    Q @ test + shift, sl) == base
-
-    def test_k_must_be_one(self):
-        with pytest.raises(ConfigError):
-            mv.knn_accuracy(np.ones((2, 2)), [0, 1], np.ones((2, 1)), [0], k=3)
 
     def test_label_count_mismatch(self):
         with pytest.raises(DataError, match="train labels"):
@@ -216,8 +186,9 @@ class TestEvaluateSplit:
             mv.knn_accuracy(tr, train_ds.labels, te, test_ds.labels)
             for tr, te in zip(mv.project(model, train_ds), mv.project(model, test_ds))]
         assert mean_acc == np.mean(per_view)
-        assert fused == mv.knn_accuracy(mv.fuse(model, train_ds), train_ds.labels,
-                                        mv.fuse(model, test_ds), test_ds.labels)
+        assert fused == mv.knn_accuracy(
+            np.sum(mv.project(model, train_ds), axis=0), train_ds.labels,
+            np.sum(mv.project(model, test_ds), axis=0), test_ds.labels)
 
 
 class TestMergeTables:

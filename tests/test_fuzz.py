@@ -127,18 +127,29 @@ def run_cli(*argv):
     return code, err.getvalue()
 
 
+# a separate token such as "-1e-06" is read as a flag, not as the value
 @settings(max_examples=100, deadline=None)
 @given(step=st.floats())
 @example(step=0.0)
+@example(step=-1e-06)
 def test_gradcheck_step_exits_cleanly(step):
-    code, err = run_cli("gradcheck", f"--step={step!r}")
+    code, err = run_cli("gradcheck", "--step", repr(step))
     assert code in {0, 1, 3}
     assert "Traceback" not in err
 
 
-@settings(max_examples=40, deadline=None)
-@given(trials=st.integers(-5, 30))
+def few_trials(text):
+    """False for text that int() reads as more than 1000 (a slow run)."""
+    try:
+        return int(text) <= 1000
+    except ValueError:
+        return True
+
+
+@settings(max_examples=60, deadline=None)
+@given(trials=st.integers(-5, 30).map(str) | st.text().filter(few_trials))
+@example(trials="x")
 def test_diagnose_trials_exits_cleanly(trials):
-    code, err = run_cli("diagnose", f"--trials={trials}")
+    code, err = run_cli("diagnose", "--trials", trials)
     assert code in {0, 1, 3}
     assert "Traceback" not in err

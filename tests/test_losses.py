@@ -125,6 +125,28 @@ class TestSampleInfonce:
             assert fast >= 0.0
 
 
+class TestSampleLogits:
+    def test_positives_are_the_diagonals_of_the_logit_blocks(self):
+        n, V = 6, 3
+        ds, P, _ = random_instance(4, n=n, V=V, dims=(4, 3, 5), d=2)
+        h = uniform_hyper(tau1=0.5, norm_eps=1e-12)
+        Y = mv.losses.view_embeddings(P, ds)
+        for m in range(V):
+            others, sims, logits, pos = mv.losses.sample_logits(Y, m, h)
+            assert others == [v for v in range(V) if v != m]
+            assert logits.shape == (n, (V - 1) * n)
+            assert pos.shape == (n, V - 1)
+            for j, (v, (S, Q)) in enumerate(zip(others, sims)):
+                block = logits[:, j * n:(j + 1) * n]
+                assert np.array_equal(block, S)
+                assert np.array_equal(Q, mv.losses.sim_matrix(
+                    Y[m], Y[v], h.tau1, h.norm_eps)[1])
+                assert np.array_equal(pos[:, j], np.diagonal(block))
+                for i in range(n):
+                    assert pos[i, j] == pytest.approx(naive_cosine(
+                        Y[m][:, i], Y[v][:, i], h.tau1, h.norm_eps), rel=1e-12)
+
+
 class TestStructuralContrastive:
     def test_identical_columns(self):
         n = 5

@@ -130,6 +130,14 @@ class TestSweepW:
         mv.sweep_W(state, ds, h)
         assert state.adam_W[0][0].t == 2
 
+    def test_nonfinite_column_named_once(self):
+        ds = mv.synth_blobs(2, 2, 3, [4, 4], 0.5, 0)
+        state = mv.init_state(ds, hyper(), seed=0)
+        state.W.W[0][:, 2] = np.nan
+        with pytest.raises(mv.NumericError) as exc:
+            mv.sweep_W(state, ds, hyper())
+        assert str(exc.value).count("(2, view 0)") == 1
+
 
 def c6_training_set():
     """The training half of the criterion-6 protocol's first repeat (n=75)."""
