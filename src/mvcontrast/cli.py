@@ -31,6 +31,14 @@ def _write_loss_history(history, out_dir):
     return path
 
 
+def _config_and_output_dir(args):
+    """Parse --config; create the output directory before any work is done."""
+    cfg = parse_config(args.config)
+    out_dir = args.out or cfg.out_dir
+    os.makedirs(out_dir, exist_ok=True)
+    return cfg, out_dir
+
+
 def cmd_synth(args):
     cfg = parse_config(args.config)
     if cfg.synth is None:
@@ -43,19 +51,19 @@ def cmd_synth(args):
 
 
 def cmd_train(args):
-    cfg = parse_config(args.config)
+    cfg, out_dir = _config_and_output_dir(args)
     ds = cfg.load_dataset()
     model, state = trainer.fit(ds, cfg.hyper, seed=cfg.base_seed)
-    trainer.save_model(model, args.out, view_names=ds.view_names)
-    _write_loss_history(state.loss_history, args.out)
-    cfg.write_echo(args.out)
+    trainer.save_model(model, out_dir, view_names=ds.view_names)
+    _write_loss_history(state.loss_history, out_dir)
+    cfg.write_echo(out_dir)
     print(f"trained {state.iter} iterations, final loss "
-          f"{state.loss_history[-1]:.6f}, model in {args.out}")
+          f"{state.loss_history[-1]:.6f}, model in {out_dir}")
     return 0
 
 
 def cmd_eval(args):
-    cfg = parse_config(args.config)
+    cfg, out_dir = _config_and_output_dir(args)
     ds = cfg.load_dataset()
     fixed_model = trainer.load_model(args.model) if args.model else None
     if fixed_model is not None:
@@ -75,8 +83,6 @@ def cmd_eval(args):
             candidates,
             key=lambda t: [r["mean"] for r in t.rows if r["row_label"] == "Mean"]))
     table = evaluation.merge_tables(best_tables)
-    out_dir = args.out or cfg.out_dir
-    os.makedirs(out_dir, exist_ok=True)
     if "csv" in cfg.formats:
         with open(os.path.join(out_dir, "results.csv"), "w", encoding="utf-8") as fh:
             fh.write(table.to_csv())

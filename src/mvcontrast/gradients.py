@@ -2,7 +2,7 @@
 
 The alternating scheme optimizes two kinds of blocks:
 
-  * one coefficient column w_i^m at a time, against the partial objective
+  * each coefficient column w_i^m, against the partial objective
     sum_{v != m} [ -log softmax_i(sim(w_i^m, w_.^v)) ]
       + alpha ||P_m^T x_i^m - P_m^T X^m w_i^m||^2 + beta ||w_i^m||^2
   * the stacked projection P, against the total loss, whose P-dependent
@@ -27,12 +27,6 @@ _NORM_FLOOR = 1e-300
 P_DIRECTIONS = 4
 
 
-def _softmax(s):
-    z = s - np.max(s)
-    e = np.exp(z)
-    return e / e.sum()
-
-
 def w_subobjective(i, m, w, P, W, ds, h):
     """Partial objective seen by coefficient column w_i^m (others fixed)."""
     w = np.asarray(w, dtype=float)
@@ -49,37 +43,41 @@ def w_subobjective(i, m, w, P, W, ds, h):
     return value
 
 
-def column_context(m, P, W, ds):
-    """What every grad_w(., m) call shares: (B_m, {v: column norms of W^v}).
+def column_context(m, P, W, ds, h):
+    """G (n x n), whose column i is the gradient of w_subobjective at w_i^m.
 
-    Valid only while W^m is the only block that changes; rebuild it after P
-    or any other W^v moves.
-    """
+    Column i reads W^m only through w_i^m, so G holds while other columns of
+    W^m move, not after P or another W^v does.  Per other view v, with
+    Q = n_v n_w^T + norm_eps over the column norms of W^v and W^m and
+    S = (W^v)^T W^m / (Q tau), column i sums C_ki (u_k / (Q_ki tau) -
+    S_ki n_v,k w_i / (Q_ki n_w,i)) over the columns u_k of W^v, with
+    C = (softmax of each column of S) - I."""
+    Wm = W.W[m]
     B = losses.view_embeddings(P, ds)[m]
-    norms = {v: np.linalg.norm(W.W[v], axis=0) for v in range(W.V) if v != m}
-    return B, norms
+    nw = np.maximum(np.linalg.norm(Wm, axis=0), _NORM_FLOOR)
+    G = np.zeros_like(Wm)
+    for v in range(W.V):
+        if v == m:
+            continue
+        Wv = W.W[v]
+        nv = np.linalg.norm(Wv, axis=0)
+        Q = np.outer(nv, nw) + h.norm_eps
+        S = (Wv.T @ Wm) / (Q * h.tau2)
+        C = np.exp(S - S.max(axis=0))
+        C /= C.sum(axis=0)
+        np.fill_diagonal(C, C.diagonal() - 1.0)
+        G += Wv @ (C / (Q * h.tau2))
+        G -= Wm * ((C * S * nv[:, None] / Q).sum(axis=0) / nw)
+        del Q, S, C  # free this pair's n x n blocks before the next view's
+    G += 2.0 * h.alpha * (B.T @ (B @ Wm - B)) + 2.0 * h.beta * Wm
+    return G
 
 
 def grad_w(i, m, P, W, ds, h, ctx=None):
-    """Gradient of w_subobjective at the current column w_i^m.
-
-    `ctx` is `column_context(m, P, W, ds)`, built here when not given.  Per
-    other view v, with q_k = ||w|| ||u_k|| + norm_eps over the columns u_k of
-    W^v, d sim(w, u_k)/dw = u_k / (q_k tau) - (s_k ||u_k|| / (q_k ||w||)) w.
-    """
-    B, norms = column_context(m, P, W, ds) if ctx is None else ctx
-    w = W.W[m][:, i]
-    grad = np.zeros_like(w)
-    nw = max(np.linalg.norm(w), _NORM_FLOOR)
-    for v, nu in norms.items():
-        U = W.W[v]
-        q = nw * nu + h.norm_eps
-        s = (U.T @ w) / (q * h.tau2)
-        coeff = _softmax(s)
-        coeff[i] -= 1.0
-        grad += (U @ (coeff / (q * h.tau2))
-                 - float(np.sum(coeff * s * nu / q)) / nw * w)
-    grad += 2.0 * h.alpha * (B.T @ (B @ w - B[:, i])) + 2.0 * h.beta * w
+    """Column i of `ctx`, which is `column_context(m, P, W, ds, h)` (built
+    here when not given): the gradient of w_subobjective at w_i^m."""
+    G = column_context(m, P, W, ds, h) if ctx is None else ctx
+    grad = G[:, i].copy()
     if not np.all(np.isfinite(grad)):
         raise NumericError(f"non-finite gradient for column ({i}, view {m})")
     return grad
@@ -117,10 +115,8 @@ def grad_P(P, W, ds, h):
         del sims, S, Q  # free view m's (S, Q) pairs before the next view's are built
 
     for m in range(V):
-        IW = np.eye(n) - W.W[m]
-        M = IW @ IW.T
-        blocks[m] += 2.0 * h.lam * h.alpha * (ds.views[m] @ M @ ds.views[m].T
-                                              @ P.block(m))
+        R = Y[m] - Y[m] @ W.W[m]
+        blocks[m] += 2.0 * h.lam * h.alpha * (ds.views[m] @ (R - R @ W.W[m].T).T)
 
     grad = np.vstack(blocks)
     if not np.all(np.isfinite(grad)):
@@ -164,7 +160,7 @@ def check_gradients(P, W, ds, h, step=1e-6):
             worst = GradCheckReport(max_rel_err=err, worst_block=block, step=step)
 
     for m in range(W.V):
-        ctx = column_context(m, P, W, ds)
+        ctx = column_context(m, P, W, ds, h)
         for i in range(W.n):
             consider(("w", m, i),
                      lambda w: w_subobjective(i, m, w, P, W, ds, h),

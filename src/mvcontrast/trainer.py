@@ -1,10 +1,10 @@
 """Alternating Adam optimization of the dual contrastive objective.
 
-One outer iteration = a Gauss-Seidel sweep of Adam updates over every
-coefficient column (updated columns are visible to later columns in the same
-sweep), followed by one Adam update of the stacked projection.  The loop
-stops when the total loss changes by at most `tol` or after `max_iters`
-iterations.
+One outer iteration = a Gauss-Seidel sweep over the views, which steps every
+coefficient column of view m with Adam from one gradient matrix built after
+view m-1 is written, followed by one Adam update of the stacked projection.
+The loop stops when the total loss changes by at most `tol` or after
+`max_iters` iterations.
 """
 
 import json
@@ -91,23 +91,21 @@ def init_state(ds, h, seed):
 
 
 def sweep_W(state, ds, h):
-    """One Gauss-Seidel pass of per-column Adam updates over every w_i^m.
+    """One Gauss-Seidel pass over the views of per-column Adam updates.
 
-    Columns are updated in place, so later columns see earlier updates.  The
-    column context of view m (B_m and the other views' column norms) is built
-    after view m-1's columns are written and is shared by view m's columns:
-    it stays valid only while W^m is the only block that changes.
+    View m's gradients are one matrix, built after view m-1 is written; its
+    column i reads only w_i^m, so it stays exact while other columns step.
     """
     W = state.W
     max_step = 0.0
     for m in range(W.V):
-        ctx = gradients.column_context(m, state.P, W, ds)
+        ctx = gradients.column_context(m, state.P, W, ds, h)
+        before = W.W[m].copy()
         for i in range(W.n):
             g = gradients.grad_w(i, m, state.P, W, ds, h, ctx=ctx)
-            new_col, state.adam_W[m][i] = adam_step(
+            W.W[m][:, i], state.adam_W[m][i] = adam_step(
                 W.W[m][:, i], g, state.adam_W[m][i], h)
-            max_step = max(max_step, float(np.max(np.abs(new_col - W.W[m][:, i]))))
-            W.W[m][:, i] = new_col
+        max_step = max(max_step, float(np.max(np.abs(W.W[m] - before))))
     state.last_max_step = max_step
     return state
 

@@ -2,10 +2,12 @@
 
 Everything here is written as plain nested loops with naive exp/log, on
 purpose: these functions arbitrate the vectorized, log-sum-exp-stabilized
-library code and must not share any of its structure.  The one exception
-is `per_column_sweep`, the reference W sweep: it drives the library's own
-grad_w and adam_step column by column, so that a sweep sharing work across
-columns can be compared with it bit for bit.
+library code and must not share any of its structure.  The exceptions
+are the per-column references for the optimizer's matrix forms:
+`per_column_grad_w`, the gradient of one coefficient column as a vector
+formula; `per_column_sweep`, the W sweep that steps each column from it
+with the library's own adam_step; and `reconstruction_grad_P`, the
+reconstruction part of grad_P through the n x n product (I - W)(I - W)^T.
 """
 
 import math
@@ -147,28 +149,61 @@ def naive_scatter(Wm):
     return S
 
 
+def per_column_grad_w(i, m, P, W, ds, h):
+    """Gradient of the partial objective of column w_i^m, one column at a
+    time: per other view v, with q_k = ||w|| ||u_k|| + norm_eps over the
+    columns u_k of W^v, d sim(w, u_k)/dw = u_k / (q_k tau) - (s_k ||u_k|| /
+    (q_k ||w||)) w."""
+    o = P.offsets[m]
+    B = P.P[o:o + ds.view_dims[m], :].T @ ds.views[m]
+    w = W.W[m][:, i]
+    grad = np.zeros_like(w)
+    nw = max(np.linalg.norm(w), 1e-300)
+    for v in range(len(W.W)):
+        if v == m:
+            continue
+        U = W.W[v]
+        nu = np.linalg.norm(U, axis=0)
+        q = nw * nu + h.norm_eps
+        s = (U.T @ w) / (q * h.tau2)
+        e = np.exp(s - np.max(s))
+        coeff = e / e.sum()
+        coeff[i] -= 1.0
+        grad += (U @ (coeff / (q * h.tau2))
+                 - float(np.sum(coeff * s * nu / q)) / nw * w)
+    grad += 2.0 * h.alpha * (B.T @ (B @ w - B[:, i])) + 2.0 * h.beta * w
+    return grad
+
+
 def per_column_sweep(state, ds, h):
-    """The W sweep with no shared column context: every grad_w call builds
-    its own B_m and column norms, as the library did before `column_context`.
-    """
-    from mvcontrast.errors import NumericError
-    from mvcontrast.gradients import grad_w
+    """The W sweep with every column's gradient from per_column_grad_w,
+    taken after the columns before it are written."""
     from mvcontrast.trainer import adam_step
 
     W = state.W
     max_step = 0.0
     for m in range(W.V):
         for i in range(W.n):
-            try:
-                g = grad_w(i, m, state.P, W, ds, h)
-                new_col, state.adam_W[m][i] = adam_step(
-                    W.W[m][:, i], g, state.adam_W[m][i], h)
-            except NumericError as exc:
-                raise NumericError(f"column ({i}, view {m}): {exc}") from exc
+            g = per_column_grad_w(i, m, state.P, W, ds, h)
+            new_col, state.adam_W[m][i] = adam_step(
+                W.W[m][:, i], g, state.adam_W[m][i], h)
             max_step = max(max_step, float(np.max(np.abs(new_col - W.W[m][:, i]))))
             W.W[m][:, i] = new_col
     state.last_max_step = max_step
     return state
+
+
+def reconstruction_grad_P(P, W, ds, h):
+    """The lam * alpha reconstruction part of grad_P, view block by view
+    block: 2 lam alpha X^m (I - W^m)(I - W^m)^T X^m^T P_m."""
+    blocks = []
+    for m in range(ds.V):
+        o = P.offsets[m]
+        IW = np.eye(ds.n) - W.W[m]
+        blocks.append(2.0 * h.lam * h.alpha * (ds.views[m] @ (IW @ IW.T)
+                                               @ ds.views[m].T
+                                               @ P.P[o:o + ds.view_dims[m], :]))
+    return np.vstack(blocks)
 
 
 def random_instance(seed, n=5, V=2, dims=(4, 3), d=2):

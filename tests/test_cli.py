@@ -310,6 +310,18 @@ class TestUnwritableOutput:
         code, _, err = run_module("eval", "--config", cfg)
         self.check(code, err, out)
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_fails_before_fitting(self, tmp_path, capsys, monkeypatch, command):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit ran before the output path was checked")
+
+        monkeypatch.setattr(mv.trainer, "fit", no_fit)
+        cfg = write_config(tmp_path / "c.json", SYNTH_SMALL)
+        (tmp_path / "taken").write_text("")
+        out = tmp_path / "taken" / "sub"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        self.check(1, capsys.readouterr().err, out)
+
 
 BAD_MATRIX_FILES = {
     "ragged row": "1,2,3,4\n5,6,7\n",

@@ -8,7 +8,8 @@ from mvcontrast.errors import NumericError
 from mvcontrast.cli import gradcheck_instance
 from mvcontrast.gradients import (check_gradients, column_context, grad_P,
                                   grad_w, w_subobjective)
-from oracles import fd_gradient, naive_w_subobjective, random_instance
+from oracles import (fd_gradient, naive_w_subobjective, per_column_grad_w,
+                     random_instance, reconstruction_grad_P)
 
 
 def hyper(**kw):
@@ -115,18 +116,34 @@ class TestGradW:
         g2 = grad_w(i, m, P, W2, ds, h)
         assert np.allclose(g1, g2, atol=1e-12)
 
-
-    def test_shared_context_bit_identical(self):
-        ds, P, W = random_instance(21, n=6, V=3, dims=(4, 3, 5))
-        h = hyper()
-        for m in range(W.V):
-            ctx = column_context(m, P, W, ds)
+    @pytest.mark.parametrize("V", [2, 3])
+    @pytest.mark.parametrize("tau2", [0.2, 1.0, 3.0])
+    def test_column_context_matches_per_column_oracle(self, V, tau2):
+        dims = (4, 3, 5)[:V]
+        ds, P, W = random_instance(21 + V, n=6, V=V, dims=dims)
+        W.W[0][:, 3] = 0.0
+        h = hyper(tau2=tau2, alpha=0.7, beta=0.4)
+        for m in range(V):
+            G = column_context(m, P, W, ds, h)
             for i in range(W.n):
-                assert np.array_equal(grad_w(i, m, P, W, ds, h, ctx=ctx),
-                                      grad_w(i, m, P, W, ds, h))
+                ref = per_column_grad_w(i, m, P, W, ds, h)
+                assert np.linalg.norm(G[:, i] - ref) <= 1e-12 * np.linalg.norm(ref)
+                assert np.array_equal(grad_w(i, m, P, W, ds, h, ctx=G), G[:, i])
 
 
 class TestGradP:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_reconstruction_matches_product_form(self, seed):
+        # grad_P at alpha ~ 0 is the contrastive part alone, bit for bit, so
+        # the difference from the full gradient is the reconstruction part
+        V = 2 + seed % 2
+        ds, P, W = random_instance(600 + seed, n=4 + seed, V=V, dims=(3, 4, 5)[:V])
+        h = hyper(alpha=0.8, lam=1.3)
+        full = grad_P(P, W, ds, h)
+        expected = grad_P(P, W, ds, hyper(alpha=1e-300, lam=1.3)) + \
+            reconstruction_grad_P(P, W, ds, h)
+        assert np.linalg.norm(full - expected) <= 1e-12 * np.linalg.norm(full)
+
     def test_reconstruction_zero_at_identity_coefficients(self):
         ds, P, _ = random_instance(10)
         W = mv.CoefficientSet([np.eye(5), np.eye(5)])

@@ -145,9 +145,16 @@ def c6_training_set():
     return mv.split(c6_dataset(), spec)[0]
 
 
+def rel_gap(a, b):
+    """Largest entry of |a - b| over the largest entry of |b|."""
+    return float(np.max(np.abs(np.subtract(a, b))) / np.max(np.abs(b)))
+
+
 class TestSharedColumnContext:
-    """sweep_W shares one column context per view; the per-column oracle
-    builds it afresh for every column.  Both must give the same bits."""
+    """sweep_W steps each view's columns from one gradient matrix; the oracle
+    sweep computes each column's gradient as a vector formula.  The matrix
+    products sum in another order, so the fits agree to rounding, not bit
+    for bit."""
 
     @pytest.mark.parametrize("fixture", ["c6", "three-views"])
     def test_fit_matches_per_column_sweep(self, monkeypatch, fixture):
@@ -155,14 +162,42 @@ class TestSharedColumnContext:
             ds, h = c6_training_set(), c6_hyper()
         else:
             ds, h = mv.synth_blobs(3, 3, 8, [5, 4, 6], 0.5, 3), hyper(d=3)
-        h = dataclasses.replace(h, max_iters=20, tol=1e-300)
+        h = dataclasses.replace(h, max_iters=50, tol=1e-300)
         _, shared = mv.fit(ds, h, seed=C6_BASE_SEED)
         monkeypatch.setattr(mv.trainer, "sweep_W", per_column_sweep)
         _, oracle = mv.fit(ds, h, seed=C6_BASE_SEED)
-        assert shared.iter == oracle.iter == 20
-        assert all(np.array_equal(a, b) for a, b in zip(shared.W.W, oracle.W.W))
-        assert np.array_equal(shared.P.P, oracle.P.P)
-        assert shared.loss_history == oracle.loss_history
+        assert shared.iter == oracle.iter == 50
+        assert all(rel_gap(a, b) <= 1e-10 for a, b in zip(shared.W.W, oracle.W.W))
+        assert rel_gap(shared.P.P, oracle.P.P) <= 1e-10
+        assert np.allclose(shared.loss_history, oracle.loss_history,
+                           rtol=1e-10, atol=0.0)
+
+
+class TestCallLayout:
+    def test_counts_match_the_benchmark_closed_forms(self, monkeypatch):
+        # perfbench/workloads.py fit_calls pins these counts per fit
+        counts = {}
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(mv.gradients, "grad_w")
+        counting(mv.trainer, "adam_step")
+        counting(mv.losses, "sim_matrix")
+        counting(mv.losses, "total_loss")
+        ds = mv.synth_blobs(3, 2, 3, [4, 3, 5], 0.5, 0)
+        iters, V, n = 3, ds.V, ds.n
+        _, state = mv.fit(ds, hyper(max_iters=iters, tol=1e-300), seed=0)
+        assert state.iter == iters
+        assert counts == {"grad_w": V * n * iters,
+                          "adam_step": (V * n + 1) * iters,
+                          "sim_matrix": V * (V - 1) * (3 * iters + 2),
+                          "total_loss": iters + 1}
 
 
 class TestFit:
