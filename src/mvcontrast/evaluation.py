@@ -17,7 +17,8 @@ from .errors import ConfigError, DataError, NumericError
 
 
 def project(model, ds):
-    """Per-view embeddings Y_m = P_m^T X_m."""
+    """Per-view embeddings Y_m = P_m^T X_m; one that overflows or is not
+    finite raises NumericError naming its view."""
     if len(model.projections) != ds.V:
         raise DataError(f"model has {len(model.projections)} views, data has {ds.V}")
     out = []
@@ -26,7 +27,14 @@ def project(model, ds):
             raise DataError(
                 f"view {m}: model expects dimension {Pm.shape[0]}, "
                 f"data has {ds.view_dims[m]}")
-        out.append(Pm.T @ ds.views[m])
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                Ym = Pm.T @ ds.views[m]
+        except FloatingPointError as exc:
+            raise NumericError(f"floating-point {exc} projecting view {m}") from exc
+        if not np.isfinite(Ym).all():
+            raise NumericError(f"non-finite embedding of view {m}")
+        out.append(Ym)
     return out
 
 

@@ -55,20 +55,31 @@ def column_context(m, P, W, ds, h):
     Wm = W.W[m]
     B = losses.view_embeddings(P, ds)[m]
     nw = np.maximum(np.linalg.norm(Wm, axis=0), _NORM_FLOOR)
+    # every norm's n x n temporary is freed before the buffers exist
+    others = [(W.W[v], np.linalg.norm(W.W[v], axis=0)) for v in range(W.V) if v != m]
     G = np.zeros_like(Wm)
-    for v in range(W.V):
-        if v == m:
-            continue
-        Wv = W.W[v]
-        nv = np.linalg.norm(Wv, axis=0)
-        Q = np.outer(nv, nw) + h.norm_eps
-        S = (Wv.T @ Wm) / (Q * h.tau2)
-        C = np.exp(S - S.max(axis=0))
+    # three n x n buffers, reused across the other views
+    Q, S, C = np.empty_like(Wm), np.empty_like(Wm), np.empty_like(Wm)
+    for Wv, nv in others:
+        np.outer(nv, nw, out=Q)
+        Q += h.norm_eps
+        np.multiply(Q, h.tau2, out=C)
+        np.matmul(Wv.T, Wm, out=S)
+        S /= C
+        np.subtract(S, S.max(axis=0), out=C)
+        np.exp(C, out=C)
         C /= C.sum(axis=0)
         np.fill_diagonal(C, C.diagonal() - 1.0)
-        G += Wv @ (C / (Q * h.tau2))
-        G -= Wm * ((C * S * nv[:, None] / Q).sum(axis=0) / nw)
-        del Q, S, C  # free this pair's n x n blocks before the next view's
+        # colsum(C * S * n_v / Q) / n_w, with S's buffer as the product
+        np.multiply(C, S, out=S)
+        S *= nv[:, None]
+        S /= Q
+        shrink = S.sum(axis=0) / nw
+        np.multiply(Q, h.tau2, out=S)
+        C /= S
+        G += np.matmul(Wv, C, out=S)
+        G -= np.multiply(Wm, shrink, out=S)
+    del Q, S, C
     G += 2.0 * h.alpha * (B.T @ (B @ Wm - B)) + 2.0 * h.beta * Wm
     return G
 
@@ -78,7 +89,7 @@ def grad_w(i, m, P, W, ds, h, ctx=None):
     here when not given): the gradient of w_subobjective at w_i^m."""
     G = column_context(m, P, W, ds, h) if ctx is None else ctx
     grad = G[:, i].copy()
-    if not np.all(np.isfinite(grad)):
+    if not np.isfinite(grad).all():
         raise NumericError(f"non-finite gradient for column ({i}, view {m})")
     return grad
 
@@ -94,25 +105,33 @@ def grad_P(P, W, ds, h):
         others, sims, logits, pos = losses.sample_logits(Y, m, h)
         # softmax over every comparison pair, and over the positives only
         zmax = logits.max(axis=1, keepdims=True)
-        exps = np.exp(logits - zmax)
+        exps = np.subtract(logits, zmax)
+        np.exp(exps, out=exps)
         denom_all = exps.sum(axis=1)
         pexp = np.exp(pos - zmax)
         denom_pos = pexp.sum(axis=1)
+        nm = np.maximum(norms[m], _NORM_FLOOR)
+        G, ratio = np.empty((n, n)), np.empty((n, n))
 
         for j, (v, (S, Q)) in enumerate(zip(others, sims)):
-            omega = exps[:, j * n:(j + 1) * n] / denom_all[:, None]
+            # omega is built in ratio's buffer, and ratio overwrites it once
+            # G is taken; the block of exps it came from holds the products
+            block = exps[:, j * n:(j + 1) * n]
+            omega = np.divide(block, denom_all[:, None], out=ratio)
             np.fill_diagonal(omega, omega.diagonal() - pexp[:, j] / denom_pos)
             omega /= n
-            G = omega / (Q * h.tau1)
-            ratio = omega * S / Q
-            nm = np.maximum(norms[m], _NORM_FLOOR)
+            np.multiply(Q, h.tau1, out=G)
+            np.divide(omega, G, out=G)
+            np.multiply(omega, S, out=ratio)
+            ratio /= Q
             nv = np.maximum(norms[v], _NORM_FLOOR)
             # anchor-side rows live in block m, comparison-side in block v
-            r_anchor = (ratio * norms[v][None, :]).sum(axis=1) / nm
-            r_comp = (ratio * norms[m][:, None]).sum(axis=0) / nv
+            r_anchor = np.multiply(ratio, norms[v][None, :], out=block).sum(axis=1) / nm
+            r_comp = np.multiply(ratio, norms[m][:, None], out=block).sum(axis=0) / nv
             blocks[m] += ds.views[m] @ (G @ Y[v].T - r_anchor[:, None] * Y[m].T)
             blocks[v] += ds.views[v] @ (G.T @ Y[m].T - r_comp[:, None] * Y[v].T)
-        del sims, S, Q  # free view m's (S, Q) pairs before the next view's are built
+        # free anchor m's blocks before the next anchor's are built
+        del sims, logits, exps, G, ratio, S, Q, omega, block
 
     for m in range(V):
         R = Y[m] - Y[m] @ W.W[m]

@@ -81,10 +81,17 @@ def logsumexp(a, axis=None):
 
     The maximum is subtracted before exponentiating, so no term overflows.
     """
-    a = np.asarray(a, dtype=float)
+    return _logsumexp_inplace(np.array(a, dtype=float), axis)
+
+
+def _logsumexp_inplace(a, axis):
+    """logsumexp(a, axis) for a float array `a`, which it overwrites: the
+    shift and exp run in `a`, so the only new memory is the reduced shape."""
     shift = np.max(a, axis=axis, keepdims=True)
     shift[~np.isfinite(shift)] = 0.0
-    out = np.log(np.sum(np.exp(a - shift), axis=axis, keepdims=True)) + shift
+    np.subtract(a, shift, out=a)
+    np.exp(a, out=a)
+    out = np.log(np.sum(a, axis=axis, keepdims=True)) + shift
     return np.squeeze(out, axis=axis)
 
 
@@ -93,25 +100,33 @@ def view_embeddings(P, ds):
     return [P.block(m).T @ ds.views[m] for m in range(ds.V)]
 
 
-def sim_matrix(A, B, tau, norm_eps):
+def sim_matrix(A, B, tau, norm_eps, out=None):
     """Pairwise temperature-scaled cosine similarities between columns.
 
     Returns (S, Q, na, nb): similarities, guarded denominators, column norms.
+    S is written into `out` when given (any float64 view of the right shape).
     """
+    A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
     na = np.linalg.norm(A, axis=0)
     nb = np.linalg.norm(B, axis=0)
-    Q = np.outer(na, nb) + norm_eps
-    S = (A.T @ B) / (Q * tau)
+    Q = np.outer(na, nb)
+    Q += norm_eps
+    S = np.matmul(A.T, B, out=out)
+    S /= Q * tau
     return S, Q, na, nb
 
 
 def sample_logits(Y, m, h):
     """Anchor view m's pairing, (others, sims, logits, pos): the other views
     v, their sim_matrix(Y^m, Y^v) pairs (S, Q), the S side by side
-    (n x (V-1)n) and the positives diag(S) (n x (V-1))."""
+    (n x (V-1)n, each S a view of its block) and the positives diag(S)
+    (n x (V-1))."""
     others = [v for v in range(len(Y)) if v != m]
-    sims = [sim_matrix(Y[m], Y[v], h.tau1, h.norm_eps)[:2] for v in others]
-    logits = np.concatenate([S for S, _ in sims], axis=1)
+    n = Y[m].shape[1]
+    logits = np.empty((n, len(others) * n))
+    sims = [sim_matrix(Y[m], Y[v], h.tau1, h.norm_eps,
+                       out=logits[:, j * n:(j + 1) * n])[:2]
+            for j, v in enumerate(others)]
     pos = np.stack([np.diagonal(S) for S, _ in sims], axis=1)
     return others, sims, logits, pos
 
@@ -129,7 +144,8 @@ def sample_infonce(P, ds, h):
     total = 0.0
     for m in range(ds.V):
         logits, pos = sample_logits(Y, m, h)[2:]
-        terms = logsumexp(logits, axis=1) - logsumexp(pos, axis=1)
+        terms = _logsumexp_inplace(logits, 1) - logsumexp(pos, axis=1)
+        del logits  # free this anchor's logits before the next anchor's are built
         if not np.all(np.isfinite(terms)):
             bad = int(np.flatnonzero(~np.isfinite(terms))[0])
             raise NumericError(f"non-finite InfoNCE term at view {m}, anchor {bad}")
@@ -149,8 +165,10 @@ def structural_contrastive(W, h):
         for v in range(W.V):
             if v == m:
                 continue
-            S, _, _, _ = sim_matrix(W.W[m], W.W[v], h.tau2, h.norm_eps)
-            terms = logsumexp(S, axis=1) - np.diagonal(S)
+            S = sim_matrix(W.W[m], W.W[v], h.tau2, h.norm_eps)[0]
+            diag = np.diagonal(S).copy()
+            terms = _logsumexp_inplace(S, 1) - diag
+            del S  # free this pair's S before the next pair's is built
             if not np.all(np.isfinite(terms)):
                 bad = int(np.flatnonzero(~np.isfinite(terms))[0])
                 raise NumericError(

@@ -34,7 +34,7 @@ class AdamState:
 def adam_step(param, grad, st, h):
     """One bias-corrected Adam update; returns (new param, new state)."""
     grad = np.asarray(grad, dtype=float)
-    if not np.all(np.isfinite(grad)):
+    if not np.isfinite(grad).all():
         raise NumericError("non-finite gradient passed to adam_step")
     t = st.t + 1
     m1 = h.b1 * st.m1 + (1.0 - h.b1) * grad
@@ -100,12 +100,15 @@ def sweep_W(state, ds, h):
     max_step = 0.0
     for m in range(W.V):
         ctx = gradients.column_context(m, state.P, W, ds, h)
-        before = W.W[m].copy()
+        Wm, adam_m = W.W[m], state.adam_W[m]
+        step = Wm.copy()
         for i in range(W.n):
             g = gradients.grad_w(i, m, state.P, W, ds, h, ctx=ctx)
-            W.W[m][:, i], state.adam_W[m][i] = adam_step(
-                W.W[m][:, i], g, state.adam_W[m][i], h)
-        max_step = max(max_step, float(np.max(np.abs(W.W[m] - before))))
+            Wm[:, i], adam_m[i] = adam_step(Wm[:, i], g, adam_m[i], h)
+        # |W^m after - W^m before|, in the buffer that held the copy
+        np.subtract(Wm, step, out=step)
+        max_step = max(max_step, float(np.abs(step, out=step).max()))
+        del ctx, step  # free view m's n x n blocks before view m+1's are built
     state.last_max_step = max_step
     return state
 

@@ -8,6 +8,12 @@ are the per-column references for the optimizer's matrix forms:
 formula; `per_column_sweep`, the W sweep that steps each column from it
 with the library's own adam_step; and `reconstruction_grad_P`, the
 reconstruction part of grad_P through the n x n product (I - W)(I - W)^T.
+
+The `alloc_*` functions at the end are the allocating forms of the
+library's similarity, loss, gradient and sweep code: the same arithmetic in
+the same order, with every intermediate a fresh array.  The library writes
+those intermediates into reused buffers instead, and must match them bit
+for bit.
 """
 
 import math
@@ -216,3 +222,137 @@ def random_instance(seed, n=5, V=2, dims=(4, 3), d=2):
         [rng.normal(size=(dim, d)) for dim in dims])
     W = mv.CoefficientSet([rng.normal(size=(n, n)) for _ in range(V)])
     return ds, P, W
+
+
+def alloc_logsumexp(a, axis=None):
+    a = np.asarray(a, dtype=float)
+    shift = np.max(a, axis=axis, keepdims=True)
+    shift[~np.isfinite(shift)] = 0.0
+    out = np.log(np.sum(np.exp(a - shift), axis=axis, keepdims=True)) + shift
+    return np.squeeze(out, axis=axis)
+
+
+def alloc_sim_matrix(A, B, tau, norm_eps):
+    na = np.linalg.norm(A, axis=0)
+    nb = np.linalg.norm(B, axis=0)
+    Q = np.outer(na, nb) + norm_eps
+    S = (A.T @ B) / (Q * tau)
+    return S, Q, na, nb
+
+
+def alloc_sample_logits(Y, m, h):
+    others = [v for v in range(len(Y)) if v != m]
+    sims = [alloc_sim_matrix(Y[m], Y[v], h.tau1, h.norm_eps)[:2] for v in others]
+    logits = np.concatenate([S for S, _ in sims], axis=1)
+    pos = np.stack([np.diagonal(S) for S, _ in sims], axis=1)
+    return others, sims, logits, pos
+
+
+def alloc_sample_infonce(P, ds, h):
+    from mvcontrast.errors import NumericError
+    from mvcontrast.losses import view_embeddings
+
+    Y = view_embeddings(P, ds)
+    total = 0.0
+    for m in range(ds.V):
+        logits, pos = alloc_sample_logits(Y, m, h)[2:]
+        terms = alloc_logsumexp(logits, axis=1) - alloc_logsumexp(pos, axis=1)
+        if not np.all(np.isfinite(terms)):
+            raise NumericError(f"non-finite InfoNCE term at view {m}")
+        total += float(np.mean(terms))
+    return total
+
+
+def alloc_structural_contrastive(W, h):
+    from mvcontrast.errors import NumericError
+
+    total = 0.0
+    for m in range(W.V):
+        for v in range(W.V):
+            if v == m:
+                continue
+            S = alloc_sim_matrix(W.W[m], W.W[v], h.tau2, h.norm_eps)[0]
+            terms = alloc_logsumexp(S, axis=1) - np.diagonal(S)
+            if not np.all(np.isfinite(terms)):
+                raise NumericError(f"non-finite structural term at pair ({m},{v})")
+            total += float(np.mean(terms))
+    return total
+
+
+def alloc_column_context(m, P, W, ds, h):
+    from mvcontrast.losses import view_embeddings
+
+    Wm = W.W[m]
+    B = view_embeddings(P, ds)[m]
+    nw = np.maximum(np.linalg.norm(Wm, axis=0), 1e-300)
+    G = np.zeros_like(Wm)
+    for v in range(W.V):
+        if v == m:
+            continue
+        Wv = W.W[v]
+        nv = np.linalg.norm(Wv, axis=0)
+        Q = np.outer(nv, nw) + h.norm_eps
+        S = (Wv.T @ Wm) / (Q * h.tau2)
+        C = np.exp(S - S.max(axis=0))
+        C /= C.sum(axis=0)
+        np.fill_diagonal(C, C.diagonal() - 1.0)
+        G += Wv @ (C / (Q * h.tau2))
+        G -= Wm * ((C * S * nv[:, None] / Q).sum(axis=0) / nw)
+    G += 2.0 * h.alpha * (B.T @ (B @ Wm - B)) + 2.0 * h.beta * Wm
+    return G
+
+
+def alloc_grad_P(P, W, ds, h):
+    from mvcontrast.errors import NumericError
+    from mvcontrast.losses import view_embeddings
+
+    Y = view_embeddings(P, ds)
+    norms = [np.linalg.norm(y, axis=0) for y in Y]
+    n, V = ds.n, ds.V
+    blocks = [np.zeros_like(P.block(m)) for m in range(V)]
+    for m in range(V):
+        others, sims, logits, pos = alloc_sample_logits(Y, m, h)
+        zmax = logits.max(axis=1, keepdims=True)
+        exps = np.exp(logits - zmax)
+        denom_all = exps.sum(axis=1)
+        pexp = np.exp(pos - zmax)
+        denom_pos = pexp.sum(axis=1)
+        for j, (v, (S, Q)) in enumerate(zip(others, sims)):
+            omega = exps[:, j * n:(j + 1) * n] / denom_all[:, None]
+            np.fill_diagonal(omega, omega.diagonal() - pexp[:, j] / denom_pos)
+            omega /= n
+            G = omega / (Q * h.tau1)
+            ratio = omega * S / Q
+            nm = np.maximum(norms[m], 1e-300)
+            nv = np.maximum(norms[v], 1e-300)
+            r_anchor = (ratio * norms[v][None, :]).sum(axis=1) / nm
+            r_comp = (ratio * norms[m][:, None]).sum(axis=0) / nv
+            blocks[m] += ds.views[m] @ (G @ Y[v].T - r_anchor[:, None] * Y[m].T)
+            blocks[v] += ds.views[v] @ (G.T @ Y[m].T - r_comp[:, None] * Y[v].T)
+    for m in range(V):
+        R = Y[m] - Y[m] @ W.W[m]
+        blocks[m] += 2.0 * h.lam * h.alpha * (ds.views[m] @ (R - R @ W.W[m].T).T)
+    grad = np.vstack(blocks)
+    if not np.all(np.isfinite(grad)):
+        raise NumericError("non-finite projection gradient")
+    return grad
+
+
+def alloc_sweep_W(state, ds, h):
+    """The W sweep of trainer.sweep_W, through alloc_column_context, with
+    the largest step taken from fresh copies."""
+    from mvcontrast.gradients import grad_w
+    from mvcontrast.trainer import adam_step
+
+    W = state.W
+    max_step = 0.0
+    for m in range(W.V):
+        ctx = alloc_column_context(m, state.P, W, ds, h)
+        before = W.W[m].copy()
+        for i in range(W.n):
+            g = grad_w(i, m, state.P, W, ds, h, ctx=ctx)
+            W.W[m][:, i], state.adam_W[m][i] = adam_step(
+                W.W[m][:, i], g, state.adam_W[m][i], h)
+        max_step = max(max_step, float(np.max(np.abs(W.W[m] - before))))
+    state.last_max_step = max_step
+    return state

@@ -56,6 +56,17 @@ class TestProject:
         with pytest.raises(DataError, match="dimension"):
             mv.project(model, ds)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [1e308, np.inf, np.nan])
+    def test_overflowing_or_non_finite_embedding_names_view(self, bad):
+        # 1e308 is finite, but P_m^T X^m overflows against entries >= 10
+        rng = np.random.default_rng(3)
+        ds = mv.MultiViewDataset(views=[rng.normal(size=(3, 4)),
+                                        10.0 + rng.uniform(size=(3, 4))])
+        model = make_model([rng.normal(size=(3, 2)), np.full((3, 2), bad)])
+        with pytest.raises(NumericError, match="view 1"):
+            mv.project(model, ds)
+
 
 class TestKnnAccuracy:
     def test_exact_match_wins(self):
