@@ -9,12 +9,14 @@ d=8 under the criterion-6 hyperparameters, then measures each layer on that
 state:
 `init_state`, `sample_infonce`, `structural_contrastive`,
 `reconstruction_penalty`, `column_context` (view 0), `grad_P` and, last
-because it moves W, one `sweep_W`.  A layer's time is the median of five
-untraced calls; its transient is the tracemalloc peak of one more call, on a
-state built under tracing, above the memory traced when that call starts, in
-bytes and in units of n^2 * 8 B (one n x n matrix), and includes what the
-call returns (for init_state, the state).  The state's own bytes are
-recorded beside them.
+because it moves W, one `sweep_W`.  `knn_accuracy` scores n test samples
+against 80 training samples (eval-csv's largest training set) of dimension
+d=8, drawn from a standard normal with seed 0.  A layer's time is the median
+of five untraced calls; its transient is the tracemalloc peak of one more
+call, on a state built under tracing, above the memory traced when that call
+starts, in bytes and in units of n^2 * 8 B (one n x n matrix), and includes
+what the call returns (for init_state, the state).  The state's own bytes
+are recorded beside them.
 
 The results go under runs[<label>] of --out (default BENCH_layers.json at the
 repository root), next to the labels already there, with a machine record:
@@ -40,6 +42,7 @@ for _var in BLAS_THREAD_VARS:
 
 SIZES, CALLS = (75, 600, 2000), 5
 DIMS, CLASSES, D = [40, 32, 24], 5, 8
+KNN_TRAIN = 80
 C6_HYPER = dict(gamma=0.01, tol=1e-9, alpha=1e-3, beta=1e-3, tau1=0.3, tau2=0.3)
 
 
@@ -104,11 +107,21 @@ def layer_calls(mv, state, ds, h):
     }
 
 
+def knn_call(mv, n):
+    """knn_accuracy on n test samples against KNN_TRAIN training samples."""
+    import numpy as np
+    rng = np.random.default_rng(0)
+    train, test = rng.normal(size=(D, KNN_TRAIN)), rng.normal(size=(D, n))
+    labels = rng.integers(0, CLASSES, size=KNN_TRAIN + n)
+    return lambda: mv.knn_accuracy(train, labels[:KNN_TRAIN], test, labels[KNN_TRAIN:])
+
+
 def measure_size(mv, n):
     ds = mv.synth_blobs(len(DIMS), CLASSES, n // CLASSES, DIMS, 1.0, 0)
     h = mv.Hyperparams(d=D, **C6_HYPER)
     init = lambda: mv.init_state(ds, h, 0)  # noqa: E731
-    times = {"init_state": timed(init)}
+    knn = knn_call(mv, n)
+    times = {"init_state": timed(init), "knn_accuracy": timed(knn)}
     state = init()
     for name, call in layer_calls(mv, state, ds, h).items():
         times[name] = timed(call)
@@ -119,6 +132,7 @@ def measure_size(mv, n):
     try:
         transient = {}
         transient["init_state"], state = traced(init)
+        transient["knn_accuracy"] = traced(knn)[0]
         for name, call in layer_calls(mv, state, ds, h).items():
             transient[name] = traced(call)[0]
     finally:
@@ -149,6 +163,7 @@ def main(argv=None):
     results.setdefault("setup", {
         "script": "benchmarks/layers.py", "views": DIMS, "classes": CLASSES,
         "d": D, "hyper": C6_HYPER, "calls": CALLS})
+    results["setup"].setdefault("knn_train", KNN_TRAIN)
     results.setdefault("runs", {})[args.label] = run
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(results, fh, indent=1)

@@ -66,9 +66,6 @@ def cmd_eval(args):
     cfg, out_dir = _config_and_output_dir(args)
     ds = cfg.load_dataset()
     fixed_model = trainer.load_model(args.model) if args.model else None
-    if fixed_model is not None:
-        # fail fast on shape mismatches before any splitting
-        evaluation.project(fixed_model, ds)
     # a fixed model ignores d, so each d would repeat the same protocol
     d_values = cfg.d_sweep if cfg.d_sweep and fixed_model is None else [cfg.hyper.d]
     best_tables = []

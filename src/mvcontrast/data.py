@@ -59,6 +59,13 @@ class MultiViewDataset:
     def view_dims(self):
         return [v.shape[0] for v in self.views]
 
+    def subset(self, idx):
+        """The samples at column indices idx, as a new dataset."""
+        return MultiViewDataset(
+            views=[v[:, idx] for v in self.views],
+            labels=None if self.labels is None else self.labels[idx],
+            view_names=list(self.view_names))
+
 
 @dataclass
 class SplitSpec:
@@ -145,13 +152,8 @@ def view_offsets(view_dims):
     return [int(o) for o in np.concatenate([[0], np.cumsum(view_dims)[:-1]])]
 
 
-def _split_rng(spec):
-    # one independent, reproducible PCG64 stream per (seed, repeat)
-    return np.random.default_rng([int(spec.seed), int(spec.repeat_index)])
-
-
 def split(ds, spec):
-    """Pick per_class training samples per class; the rest become the test set."""
+    """Ascending (train_idx, test_idx): per_class samples per class train."""
     if ds.labels is None:
         raise ConfigError("split requires labels")
     classes, sizes = np.unique(ds.labels, return_counts=True)
@@ -159,7 +161,8 @@ def split(ds, spec):
         raise ConfigError(
             f"per_class={spec.per_class} must be smaller than the smallest "
             f"class size {sizes.min()}")
-    rng = _split_rng(spec)
+    # one independent, reproducible PCG64 stream per (seed, repeat)
+    rng = np.random.default_rng([int(spec.seed), int(spec.repeat_index)])
     train_idx = []
     for cls in classes:
         members = np.flatnonzero(ds.labels == cls)
@@ -168,15 +171,7 @@ def split(ds, spec):
     train_idx = np.sort(np.array(train_idx, dtype=int))
     mask = np.zeros(ds.n, dtype=bool)
     mask[train_idx] = True
-    test_idx = np.flatnonzero(~mask)
-
-    def take(idx):
-        return MultiViewDataset(
-            views=[v[:, idx] for v in ds.views],
-            labels=ds.labels[idx],
-            view_names=list(ds.view_names))
-
-    return take(train_idx), take(test_idx)
+    return train_idx, np.flatnonzero(~mask)
 
 
 def synth_blobs(V, classes, per_class, dims, noise_sigma, seed,

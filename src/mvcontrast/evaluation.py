@@ -15,6 +15,8 @@ from . import trainer
 from .data import SplitSpec, split
 from .errors import ConfigError, DataError, NumericError
 
+_BLOCK_BYTES = 1 << 18  # one block of 1-NN distances; 256 KiB stays in L2 cache
+
 
 def project(model, ds):
     """Per-view embeddings Y_m = P_m^T X_m; one that overflows or is not
@@ -38,34 +40,50 @@ def project(model, ds):
     return out
 
 
+def _distance_blocks(train_emb, test_emb):
+    """Yield (start, D) per block of test samples, D[i, j] = |tr_j|^2 -
+    2 te_(start+i).tr_j in one reused buffer (the distance less |te|^2)."""
+    n_test, n_train = test_emb.shape[1], train_emb.shape[1]
+    rows = max(2, _BLOCK_BYTES // (8 * n_train))
+    # a 1-row product goes through gemv, which may round differently from
+    # gemm, so a 1-row tail joins the block before it
+    stops = [*range(rows, n_test - 1, rows), n_test]
+    buf = np.empty((min(rows + 1, n_test), n_train))
+    sq_tr = np.sum(train_emb ** 2, axis=0)
+    for start, stop in zip([0, *stops], stops):
+        d = buf[:stop - start]
+        np.matmul(test_emb[:, start:stop].T, train_emb, out=d)
+        d *= 2.0
+        yield start, np.subtract(sq_tr, d, out=d)
+
+
 def knn_accuracy(train_emb, train_labels, test_emb, test_labels):
     """1-NN accuracy under squared Euclidean distance; ties go to the
     smallest training index."""
     train_emb = np.asarray(train_emb, dtype=float)
     test_emb = np.asarray(test_emb, dtype=float)
-    if train_emb.shape[1] == 0:
-        raise ConfigError("empty training set")
+    train_labels, test_labels = np.asarray(train_labels), np.asarray(test_labels)
+    for name, labels, emb in (("train", train_labels, train_emb),
+                              ("test", test_labels, test_emb)):
+        if emb.shape[1] == 0:
+            raise ConfigError(f"empty {name} set")
+        if labels.shape != (emb.shape[1],):
+            raise DataError(
+                f"{name} labels of shape {labels.shape} for {emb.shape[1]} samples")
     if train_emb.shape[0] != test_emb.shape[0]:
         raise DataError(
             f"embedding dims differ: train {train_emb.shape[0]}, "
             f"test {test_emb.shape[0]}")
-    train_labels, test_labels = np.asarray(train_labels), np.asarray(test_labels)
-    for name, labels, emb in (("train", train_labels, train_emb),
-                              ("test", test_labels, test_emb)):
-        if labels.shape != (emb.shape[1],):
-            raise DataError(
-                f"{name} labels of shape {labels.shape} for {emb.shape[1]} samples")
+    nearest = np.empty(test_emb.shape[1], dtype=np.intp)
     try:
         with np.errstate(over="raise", invalid="raise"):
-            sq_tr = np.sum(train_emb ** 2, axis=0)
-            # squared distances, test rows x train cols; argmin takes the
-            # first (smallest-index) minimizer
-            d2 = sq_tr[None, :] - 2.0 * (test_emb.T @ train_emb)
+            for start, d2 in _distance_blocks(train_emb, test_emb):
+                if not np.isfinite(d2).all():
+                    raise NumericError("non-finite 1-NN distances")
+                # argmin takes the first (smallest-index) minimizer
+                nearest[start:start + len(d2)] = np.argmin(d2, axis=1)
     except FloatingPointError as exc:
         raise NumericError(f"floating-point {exc} in 1-NN distances") from exc
-    if not np.all(np.isfinite(d2)):
-        raise NumericError("non-finite 1-NN distances")
-    nearest = np.argmin(d2, axis=1)
     predicted = train_labels[nearest]
     return float(np.mean(predicted == test_labels))
 
@@ -108,15 +126,15 @@ class ResultsTable:
         return "\n".join(out) + "\n"
 
 
-def evaluate_split(model, train_ds, test_ds):
-    """Accuracy per view, their mean, and the fused embedding, on one split."""
-    train_views = project(model, train_ds)
-    test_views = project(model, test_ds)
-    per_view = [knn_accuracy(tr, train_ds.labels, te, test_ds.labels)
-                for tr, te in zip(train_views, test_views)]
-    fused = knn_accuracy(np.sum(train_views, axis=0), train_ds.labels,
-                         np.sum(test_views, axis=0), test_ds.labels)
-    return per_view, float(np.mean(per_view)), fused
+def evaluate_split(Y, labels, train_idx, test_idx):
+    """Accuracy per view, their mean, and the fused embedding, on the
+    train_idx/test_idx split of every sample's per-view embeddings Y."""
+    def score(E):
+        return knn_accuracy(E[:, train_idx], labels[train_idx],
+                            E[:, test_idx], labels[test_idx])
+
+    per_view = [score(E) for E in Y]
+    return per_view, float(np.mean(per_view)), score(np.sum(Y, axis=0))
 
 
 def run_experiment(ds, h, M, repeats, base_seed, fixed_model=None):
@@ -124,22 +142,22 @@ def run_experiment(ds, h, M, repeats, base_seed, fixed_model=None):
 
     Each repeat draws the split from (base_seed, repeat) and, unless a
     pre-trained `fixed_model` is supplied, fits a fresh model on the
-    training half with the same derived seed.
+    training samples with the same derived seed; each model projects ds once.
     """
     if ds.labels is None:
         raise ConfigError("run_experiment requires labels")
     if repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
+    Y = None if fixed_model is None else project(fixed_model, ds)
     rows = []  # per repeat: the per-view accuracies, their mean, fused
     for r in range(repeats):
         spec = SplitSpec(per_class=M, seed=base_seed, repeat_index=r)
-        train_ds, test_ds = split(ds, spec)
+        train_idx, test_idx = split(ds, spec)
         if fixed_model is None:
-            model, _ = trainer.fit(train_ds, h, seed=int(base_seed) + r)
-        else:
-            model = fixed_model
-        per_view, mean_acc, fused_acc = evaluate_split(model, train_ds, test_ds)
-        rows.append([*per_view, mean_acc, fused_acc])
+            model, _ = trainer.fit(ds.subset(train_idx), h, seed=int(base_seed) + r)
+            Y = project(model, ds)
+        per_view, mean_acc, fused = evaluate_split(Y, ds.labels, train_idx, test_idx)
+        rows.append([*per_view, mean_acc, fused])
     table = ResultsTable(repeats=repeats)
     for label, accuracies in zip([*ds.view_names, "Mean", "fused"], zip(*rows)):
         table.add(label, M, accuracies)

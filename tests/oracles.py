@@ -10,10 +10,10 @@ with the library's own adam_step; and `reconstruction_grad_P`, the
 reconstruction part of grad_P through the n x n product (I - W)(I - W)^T.
 
 The `alloc_*` functions at the end are the allocating forms of the
-library's similarity, loss, gradient and sweep code: the same arithmetic in
-the same order, with every intermediate a fresh array.  The library writes
-those intermediates into reused buffers instead, and must match them bit
-for bit.
+library's similarity, loss, gradient, sweep and 1-NN distance code: the same
+arithmetic in the same order, with every intermediate a fresh array.  The
+library writes those intermediates into reused buffers instead, and must
+match them bit for bit.
 """
 
 import math
@@ -356,3 +356,10 @@ def alloc_sweep_W(state, ds, h):
         max_step = max(max_step, float(np.max(np.abs(W.W[m] - before))))
     state.last_max_step = max_step
     return state
+
+
+def alloc_sq_distances(train_emb, test_emb):
+    """1-NN's squared distances less each test sample's own norm, test rows
+    x train columns, from one product over the whole test set."""
+    sq_tr = np.sum(train_emb ** 2, axis=0)
+    return sq_tr[None, :] - 2.0 * (test_emb.T @ train_emb)

@@ -205,17 +205,22 @@ class TestSynthTrainEval:
         assert calls == [2, 3, 2, 3]
         assert tables[0] == tables[1]
 
-    def test_mismatched_model_dims_exit_2(self, tmp_path, capsys):
+    def test_mismatched_model_dims_exit_2(self, tmp_path, capsys, monkeypatch):
         cfg = write_config(tmp_path / "c.json", SYNTH_SMALL)
         model_dir = tmp_path / "model"
         main(["train", "--config", cfg, "--out", str(model_dir)])
         obj = json.loads(json.dumps(SYNTH_SMALL))
         obj["dataset"]["synth"]["dims"] = [5, 5]
         cfg2 = write_config(tmp_path / "c2.json", obj)
+        splits = []
+        split = mv.evaluation.split
+        monkeypatch.setattr(mv.evaluation, "split",
+                            lambda *a: splits.append(a) or split(*a))
         code = main(["eval", "--config", cfg2, "--model", str(model_dir),
                      "--out", str(tmp_path / "r")])
         assert code == 2
         assert "error: DataError" in capsys.readouterr().err
+        assert splits == []  # the model is checked against the data first
 
 
 class TestGradcheckDiagnose:

@@ -75,25 +75,23 @@ class TestSplit:
 
     def test_counts(self):
         ds = self.make_labeled()
-        train, test = mv.split(ds, mv.SplitSpec(per_class=4, seed=0))
-        assert train.n == 12
-        assert test.n == 18
-        _, counts = np.unique(train.labels, return_counts=True)
+        train_idx, test_idx = mv.split(ds, mv.SplitSpec(per_class=4, seed=0))
+        assert train_idx.size == 12
+        assert test_idx.size == 18
+        _, counts = np.unique(ds.labels[train_idx], return_counts=True)
         assert np.all(counts == 4)
 
     def test_deterministic(self):
         ds = self.make_labeled()
         spec = mv.SplitSpec(per_class=4, seed=123, repeat_index=2)
-        t1, _ = mv.split(ds, spec)
-        t2, _ = mv.split(ds, spec)
-        for a, b in zip(t1.views, t2.views):
+        for a, b in zip(mv.split(ds, spec), mv.split(ds, spec)):
             assert np.array_equal(a, b)
 
     def test_repeat_index_changes_split(self):
         ds = self.make_labeled()
         t1, _ = mv.split(ds, mv.SplitSpec(per_class=4, seed=0, repeat_index=0))
         t2, _ = mv.split(ds, mv.SplitSpec(per_class=4, seed=0, repeat_index=1))
-        assert not all(np.array_equal(a, b) for a, b in zip(t1.views, t2.views))
+        assert not np.array_equal(t1, t2)
 
     def test_per_class_too_large(self):
         ds = self.make_labeled(per_class=10)
@@ -108,12 +106,23 @@ class TestSplit:
     def test_partition_property(self):
         ds = self.make_labeled()
         for seed in range(5):
-            train, test = mv.split(ds, mv.SplitSpec(per_class=3, seed=seed))
-            assert train.n + test.n == ds.n
-            # every original column appears exactly once across the two halves
-            merged = np.concatenate([train.views[0], test.views[0]], axis=1)
-            orig = np.sort(ds.views[0], axis=1)
-            assert np.allclose(np.sort(merged, axis=1), orig)
+            train_idx, test_idx = mv.split(ds, mv.SplitSpec(per_class=3, seed=seed))
+            # both ascending, and every sample in exactly one of them
+            for idx in (train_idx, test_idx):
+                assert np.all(np.diff(idx) > 0)
+            assert np.array_equal(np.sort(np.concatenate([train_idx, test_idx])),
+                                  np.arange(ds.n))
+
+    def test_subset_takes_columns(self):
+        ds = self.make_labeled()
+        idx = np.array([4, 0, 7])
+        sub = ds.subset(idx)
+        for v, full in zip(sub.views, ds.views):
+            assert np.array_equal(v, full[:, idx])
+        assert np.array_equal(sub.labels, ds.labels[idx])
+        assert sub.view_names == ds.view_names
+        unlabeled = mv.MultiViewDataset(views=ds.views).subset(idx)
+        assert unlabeled.labels is None and unlabeled.n == 3
 
 
 class TestSynthBlobs:
@@ -122,7 +131,7 @@ class TestSynthBlobs:
         for cls in range(3):
             cols = ds.views[0][:, ds.labels == cls]
             assert np.allclose(cols, cols[:, :1])
-        train, test = mv.split(ds, mv.SplitSpec(per_class=4, seed=0))
+        train, test = map(ds.subset, mv.split(ds, mv.SplitSpec(per_class=4, seed=0)))
         acc = mv.knn_accuracy(np.vstack(train.views), train.labels,
                               np.vstack(test.views), test.labels)
         assert acc == 1.0
@@ -134,7 +143,7 @@ class TestSynthBlobs:
         for a in range(3):
             for b in range(a + 1, 3):
                 assert np.linalg.norm(centers[a] - centers[b]) >= 5
-        train, test = mv.split(ds, mv.SplitSpec(per_class=4, seed=0))
+        train, test = map(ds.subset, mv.split(ds, mv.SplitSpec(per_class=4, seed=0)))
         acc = mv.knn_accuracy(np.vstack(train.views), train.labels,
                               np.vstack(test.views), test.labels)
         assert acc >= 0.95

@@ -119,6 +119,10 @@ class TestKnnAccuracy:
         with pytest.raises(ConfigError):
             mv.knn_accuracy(np.ones((2, 0)), [], np.ones((2, 1)), [0])
 
+    def test_empty_test(self):
+        with pytest.raises(ConfigError, match="empty test set"):
+            mv.knn_accuracy(np.ones((2, 3)), [0, 1, 0], np.ones((2, 0)), [])
+
     @pytest.mark.parametrize("bad", [1e155, np.inf, np.nan])
     def test_non_finite_distances_raise(self, bad):
         # 1e155 is finite, but its square overflows the squared distances
@@ -188,11 +192,15 @@ class TestRunExperiment:
 
 class TestEvaluateSplit:
     def test_fused_row_scores_the_fusion_embedding(self):
+        # scoring columns of the whole dataset's embeddings equals projecting
+        # each half of the split on its own
         ds = mv.synth_blobs(2, 3, 8, [4, 5], 1.5, 2)
         rng = np.random.default_rng(3)
         model = make_model([rng.normal(size=(4, 2)), rng.normal(size=(5, 2))])
-        train_ds, test_ds = mv.split(ds, mv.SplitSpec(per_class=3, seed=1))
-        per_view, mean_acc, fused = evaluate_split(model, train_ds, test_ds)
+        train_idx, test_idx = mv.split(ds, mv.SplitSpec(per_class=3, seed=1))
+        per_view, mean_acc, fused = evaluate_split(mv.project(model, ds), ds.labels,
+                                                   train_idx, test_idx)
+        train_ds, test_ds = ds.subset(train_idx), ds.subset(test_idx)
         assert per_view == [
             mv.knn_accuracy(tr, train_ds.labels, te, test_ds.labels)
             for tr, te in zip(mv.project(model, train_ds), mv.project(model, test_ds))]

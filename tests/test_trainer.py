@@ -142,7 +142,8 @@ class TestSweepW:
 def c6_training_set():
     """The training half of the criterion-6 protocol's first repeat (n=75)."""
     spec = mv.SplitSpec(per_class=C6_M, seed=C6_BASE_SEED, repeat_index=0)
-    return mv.split(c6_dataset(), spec)[0]
+    ds = c6_dataset()
+    return ds.subset(mv.split(ds, spec)[0])
 
 
 def rel_gap(a, b):

@@ -1,9 +1,11 @@
-"""The optimizer's n x n intermediates live in reused buffers.
+"""The optimizer's n x n intermediates and 1-NN's distances live in reused
+buffers.
 
 Each rewritten function must equal its allocating form in tests/oracles.py
 bit for bit, a fit run through those forms must equal the library's fit,
 and the peak memory a layer allocates is bounded in units of one n x n
-float64 matrix.
+float64 matrix.  1-NN computes its distances one block of test samples at a
+time and must equal the one-call product over the whole test set.
 """
 
 import itertools
@@ -13,10 +15,11 @@ import numpy as np
 import pytest
 
 import mvcontrast as mv
-from mvcontrast import gradients, losses, trainer
+from mvcontrast import evaluation, gradients, losses, trainer
 from oracles import (alloc_column_context, alloc_grad_P, alloc_logsumexp,
                      alloc_sample_infonce, alloc_sample_logits, alloc_sim_matrix,
-                     alloc_structural_contrastive, alloc_sweep_W, random_instance)
+                     alloc_sq_distances, alloc_structural_contrastive,
+                     alloc_sweep_W, random_instance)
 
 # (V, n) cover one, two, nine and forty samples at two, three and four views
 CASES = [(V, n, seed) for seed, (V, n) in
@@ -102,6 +105,71 @@ class TestBitIdenticalToAllocatingForms:
         assert ours.loss_history == ref.loss_history
 
 
+def block_rows(n_train):
+    """Test samples in one of 1-NN's distance blocks."""
+    return max(2, evaluation._BLOCK_BYTES // (8 * n_train))
+
+
+def blocked_distances(train, test):
+    """The distance blocks 1-NN computes, gathered into one array."""
+    D = np.full((test.shape[1], train.shape[1]), np.nan)
+    for start, block in evaluation._distance_blocks(train, test):
+        D[start:start + len(block)] = block
+    return D
+
+
+def nearest_of(train, test):
+    """True iff knn_accuracy picks the one-call distances' argmins: with
+    training labels 0..n_train-1 and those argmins as test labels, it
+    scores 1.0 exactly when every prediction is that argmin."""
+    want = np.argmin(alloc_sq_distances(train, test), axis=1)
+    return mv.knn_accuracy(train, np.arange(train.shape[1]), test, want) == 1.0
+
+
+class TestBlockedDistances:
+    # n_test at one sample, around one block (B-1, B, B+1, whose last block
+    # would hold one row) and over several blocks with a partial last one
+    N_TEST = {"1": lambda B: 1, "B-1": lambda B: B - 1, "B": lambda B: B,
+              "B+1": lambda B: B + 1, "3B+7": lambda B: 3 * B + 7}
+
+    @pytest.mark.parametrize("which", N_TEST)
+    @pytest.mark.parametrize("n_train", (1, 5, 80, 700))
+    @pytest.mark.parametrize("d", (1, 3, 4, 8))
+    def test_equal_one_call_product(self, d, n_train, which):
+        n_test = self.N_TEST[which](block_rows(n_train))
+        rng = np.random.default_rng([d, n_train, n_test])
+        train, test = rng.normal(size=(d, n_train)), rng.normal(size=(d, n_test))
+        assert np.array_equal(blocked_distances(train, test),
+                              alloc_sq_distances(train, test))
+        assert nearest_of(train, test)
+
+    @pytest.mark.parametrize("n_train", (5, 80, 700))
+    def test_ties_across_block_boundaries_go_to_smallest_index(self, n_train):
+        B = block_rows(n_train)
+        rng = np.random.default_rng(n_train)
+        train, test = rng.normal(size=(3, n_train)), rng.normal(size=(3, 2 * B + 1))
+        train[:, -1] = train[:, 1]
+        # samples equal to the duplicated column on both sides of the first
+        # boundary, and as the one-row tail
+        tied = [B - 2, B - 1, B, B + 1, 2 * B]
+        test[:, tied] = train[:, 1:2]
+        want = alloc_sq_distances(train, test)
+        assert np.array_equal(blocked_distances(train, test), want)
+        assert np.all(np.argmin(want, axis=1)[tied] == 1)
+        assert nearest_of(train, test)
+
+    @pytest.mark.parametrize("bad", [1e308, np.inf, np.nan])
+    def test_non_finite_only_in_last_block_raises(self, bad):
+        # 1e308 is finite, but 2 * te.tr overflows against entries above 1
+        B = block_rows(80)
+        rng = np.random.default_rng(8)
+        train, test = rng.normal(size=(4, 80)), rng.normal(size=(4, 3 * B + 7))
+        train[1, 0] = 2.0
+        test[1, -1] = bad
+        with pytest.raises(mv.NumericError, match="1-NN distances"):
+            mv.knn_accuracy(train, np.zeros(80, int), test, np.zeros(3 * B + 7, int))
+
+
 def peak_over_start(call):
     """Peak bytes traced during `call` above those traced when it starts,
     including what it returns."""
@@ -138,3 +206,32 @@ class TestTransientMemory:
             tracemalloc.stop()
         units = {name: peak / (8.0 * n * n) for name, peak in peaks.items()}
         assert all(units[name] <= bound for name, bound in self.BOUNDS.items()), units
+
+    def test_knn_accuracy_peak(self):
+        # the one-call distances peaked at two 20000 x 80 arrays, 25.6 MB
+        rng = np.random.default_rng(0)
+        train, test = rng.normal(size=(4, 80)), rng.normal(size=(4, 20000))
+        labels = rng.integers(0, 4, size=20080)
+        tracemalloc.start()
+        try:
+            peak = peak_over_start(
+                lambda: mv.knn_accuracy(train, labels[:80], test, labels[80:]))
+        finally:
+            tracemalloc.stop()
+        assert peak <= 25.6e6 / 8, peak
+
+    def test_fixed_model_protocol_copies_no_test_view(self):
+        ds = mv.synth_blobs(2, 4, 5000, [64, 48], 2.0, 0)
+        rng = np.random.default_rng(1)
+        model = trainer.Model(projections=[rng.normal(size=(64, 4)),
+                                           rng.normal(size=(48, 4))],
+                              hyper=mv.Hyperparams(d=4), meta={})
+        test_view_bytes = (ds.n - 4 * 5) * 48 * 8  # the smaller view at M=5
+        tracemalloc.start()
+        try:
+            peak = peak_over_start(lambda: mv.run_experiment(
+                ds, mv.Hyperparams(d=4), M=5, repeats=2, base_seed=1,
+                fixed_model=model))
+        finally:
+            tracemalloc.stop()
+        assert peak < test_view_bytes, (peak, test_view_bytes)
