@@ -18,6 +18,12 @@ starts, in bytes and in units of n^2 * 8 B (one n x n matrix), and includes
 what the call returns (for init_state, the state).  The state's own bytes
 are recorded beside them.
 
+Once, apart from the sizes, it measures perfbench's fit-wide operation: one
+2-iteration fit at n=600, V=3 (4 blobs x 150 samples, the same view
+dimensions and noise, d=8, tol=1e-12, data and fit seed 1), with the median
+of five untraced fits and the tracemalloc peak of one more, which includes
+the state the fit builds.
+
 The results go under runs[<label>] of --out (default BENCH_layers.json at the
 repository root), next to the labels already there, with a machine record:
 Python, numpy, the BLAS build and the BLAS thread variables, which default to
@@ -43,6 +49,7 @@ for _var in BLAS_THREAD_VARS:
 SIZES, CALLS = (75, 600, 2000), 5
 DIMS, CLASSES, D = [40, 32, 24], 5, 8
 KNN_TRAIN = 80
+FIT_WIDE = dict(classes=4, per_class=150, iters=2, seed=1)
 C6_HYPER = dict(gamma=0.01, tol=1e-9, alpha=1e-3, beta=1e-3, tau1=0.3, tau2=0.3)
 
 
@@ -145,6 +152,22 @@ def measure_size(mv, n):
     return {"state_bytes": state_bytes(state), "layers": layers}
 
 
+def measure_fit_wide(mv):
+    """Wall time and tracemalloc peak of perfbench's fit-wide operation."""
+    ds = mv.synth_blobs(len(DIMS), FIT_WIDE["classes"], FIT_WIDE["per_class"],
+                        DIMS, 1.0, FIT_WIDE["seed"])
+    h = mv.Hyperparams(d=D, max_iters=FIT_WIDE["iters"], **dict(C6_HYPER, tol=1e-12))
+    fit = lambda: mv.fit(ds, h, seed=FIT_WIDE["seed"])  # noqa: E731
+    times = timed(fit)
+    tracemalloc.start()
+    try:
+        peak = traced(fit)[0]
+    finally:
+        tracemalloc.stop()
+    return {"n": ds.n, "median_ms": statistics.median(times), "times_ms": times,
+            "peak_bytes": peak, "peak_n2": peak / (8.0 * ds.n * ds.n)}
+
+
 def main(argv=None):
     args = parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
@@ -156,6 +179,9 @@ def main(argv=None):
         for name, rec in run["sizes"][str(n)]["layers"].items():
             print(f"n={n:5d} {name:24s} {rec['median_ms']:10.2f} ms "
                   f"{rec['transient_n2']:7.2f} n^2*8B")
+    run["fit_wide"] = rec = measure_fit_wide(mv)
+    print(f"fit-wide n={rec['n']} {rec['median_ms']:10.2f} ms "
+          f"peak {rec['peak_bytes'] / 1e6:7.2f} MB {rec['peak_n2']:7.2f} n^2*8B")
     results = {}
     if os.path.exists(args.out):
         with open(args.out, encoding="utf-8") as fh:
@@ -164,6 +190,7 @@ def main(argv=None):
         "script": "benchmarks/layers.py", "views": DIMS, "classes": CLASSES,
         "d": D, "hyper": C6_HYPER, "calls": CALLS})
     results["setup"].setdefault("knn_train", KNN_TRAIN)
+    results["setup"].setdefault("fit_wide", FIT_WIDE)
     results.setdefault("runs", {})[args.label] = run
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(results, fh, indent=1)

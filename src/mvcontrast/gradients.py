@@ -23,6 +23,9 @@ from . import losses
 from .errors import ConfigError, NumericError
 
 _NORM_FLOOR = 1e-300
+# the most bytes a block of rows of grad_P's and column_context's
+# intermediates may hold (a block has one row at least)
+_BLOCK_BYTES = 1 << 18
 # random directions along which check_gradients probes grad_P
 P_DIRECTIONS = 4
 
@@ -34,13 +37,42 @@ def w_subobjective(i, m, w, P, W, ds, h):
     for v in range(W.V):
         if v == m:
             continue
-        sims = losses.sim_matrix(w[:, None], W.W[v], h.tau2, h.norm_eps)[0][0]
+        sims = losses.sim_matrix(w[:, None], W.W[v], h.tau2, h.norm_eps)[0]
         value += float(losses.logsumexp(sims) - sims[i])
     B = losses.view_embeddings(P, ds)[m]
     residual = B[:, i] - B @ w
     value += h.alpha * float(residual @ residual)
     value += h.beta * float(w @ w)
     return value
+
+
+def _row_blocks(n_rows, width):
+    """[(rows, buf)] over consecutive blocks of rows of an n_rows x `width`
+    float64 array: `rows` a slice of at most _BLOCK_BYTES of rows (at least
+    one), `buf` a rows x width view of one scratch array the blocks share."""
+    step = max(1, _BLOCK_BYTES // (8 * width))
+    scratch = np.empty((min(step, n_rows), width))
+    blocks = []
+    for start in range(0, n_rows, step):
+        stop = min(start + step, n_rows)
+        blocks.append((slice(start, stop), scratch[:stop - start]))
+    return blocks
+
+
+def _exp_row_sums(logits, zmax):
+    """Row sums of exp(logits - zmax), one block of rows at a time."""
+    sums = np.empty(logits.shape[0])
+    for rows, e in _row_blocks(*logits.shape):
+        np.subtract(logits[rows], zmax[rows], out=e)
+        sums[rows] = np.exp(e, out=e).sum(axis=1)
+    return sums
+
+
+def _q_rows(a, b, rows, norm_eps, out):
+    """Rows `rows` of sim_matrix's denominator Q = a b^T + norm_eps over the
+    column norms a and b, written into `out` in np.outer's arithmetic."""
+    np.multiply(a[rows, None], b, out=out)
+    out += norm_eps
 
 
 def column_context(m, P, W, ds, h):
@@ -51,47 +83,59 @@ def column_context(m, P, W, ds, h):
     Q = n_v n_w^T + norm_eps over the column norms of W^v and W^m and
     S = (W^v)^T W^m / (Q tau), column i sums C_ki (u_k / (Q_ki tau) -
     S_ki n_v,k w_i / (Q_ki n_w,i)) over the columns u_k of W^v, with
-    C = (softmax of each column of S) - I."""
+    C = (softmax of each column of S) - I.  Raises NumericError naming the
+    first column of G that is not finite."""
     Wm = W.W[m]
     B = losses.view_embeddings(P, ds)[m]
     nw = np.maximum(np.linalg.norm(Wm, axis=0), _NORM_FLOOR)
     # every norm's n x n temporary is freed before the buffers exist
     others = [(W.W[v], np.linalg.norm(W.W[v], axis=0)) for v in range(W.V) if v != m]
     G = np.zeros_like(Wm)
-    # three n x n buffers, reused across the other views
-    Q, S, C = np.empty_like(Wm), np.empty_like(Wm), np.empty_like(Wm)
+    # two n x n buffers, reused across the other views; Q is rebuilt one
+    # block of rows at a time where it is read
+    S, C = np.empty_like(Wm), np.empty_like(Wm)
+    blocks = _row_blocks(W.n, W.n)
     for Wv, nv in others:
-        np.outer(nv, nw, out=Q)
-        Q += h.norm_eps
-        np.multiply(Q, h.tau2, out=C)
         np.matmul(Wv.T, Wm, out=S)
-        S /= C
+        for rows, q in blocks:
+            _q_rows(nv, nw, rows, h.norm_eps, q)
+            q *= h.tau2
+            S[rows] /= q
         np.subtract(S, S.max(axis=0), out=C)
         np.exp(C, out=C)
         C /= C.sum(axis=0)
         np.fill_diagonal(C, C.diagonal() - 1.0)
-        # colsum(C * S * n_v / Q) / n_w, with S's buffer as the product
-        np.multiply(C, S, out=S)
-        S *= nv[:, None]
-        S /= Q
+        # C * S * n_v / Q in S's buffer, for shrink; then C / (Q tau)
+        for rows, q in blocks:
+            _q_rows(nv, nw, rows, h.norm_eps, q)
+            s = S[rows]
+            s *= C[rows]
+            s *= nv[rows, None]
+            s /= q
+            q *= h.tau2
+            C[rows] /= q
         shrink = S.sum(axis=0) / nw
-        np.multiply(Q, h.tau2, out=S)
-        C /= S
         G += np.matmul(Wv, C, out=S)
         G -= np.multiply(Wm, shrink, out=S)
-    del Q, S, C
-    G += 2.0 * h.alpha * (B.T @ (B @ Wm - B)) + 2.0 * h.beta * Wm
+    # the reconstruction and ridge terms, in C's and S's buffers
+    recon = np.matmul(B.T, B @ Wm - B, out=C)
+    recon *= 2.0 * h.alpha
+    recon += np.multiply(Wm, 2.0 * h.beta, out=S)
+    G += recon
+    del S, C, recon
+    finite = np.isfinite(G).all(axis=0)
+    if not finite.all():
+        bad = int(np.flatnonzero(~finite)[0])
+        raise NumericError(f"non-finite gradient for column ({bad}, view {m})")
     return G
 
 
 def grad_w(i, m, P, W, ds, h, ctx=None):
     """Column i of `ctx`, which is `column_context(m, P, W, ds, h)` (built
-    here when not given): the gradient of w_subobjective at w_i^m."""
+    here when not given): the gradient of w_subobjective at w_i^m.  The
+    column is a view of `ctx`, whose finiteness column_context has checked."""
     G = column_context(m, P, W, ds, h) if ctx is None else ctx
-    grad = G[:, i].copy()
-    if not np.isfinite(grad).all():
-        raise NumericError(f"non-finite gradient for column ({i}, view {m})")
-    return grad
+    return G[:, i]
 
 
 def grad_P(P, W, ds, h):
@@ -100,38 +144,44 @@ def grad_P(P, W, ds, h):
     norms = [np.linalg.norm(y, axis=0) for y in Y]
     n, V = ds.n, ds.V
     blocks = [np.zeros_like(P.block(m)) for m in range(V)]
+    pair_blocks = _row_blocks(n, n)
 
     for m in range(V):
-        others, sims, logits, pos = losses.sample_logits(Y, m, h)
+        others, logits, pos = losses.sample_logits(Y, m, h)
         # softmax over every comparison pair, and over the positives only
         zmax = logits.max(axis=1, keepdims=True)
-        exps = np.subtract(logits, zmax)
-        np.exp(exps, out=exps)
-        denom_all = exps.sum(axis=1)
+        denom_all = _exp_row_sums(logits, zmax)
         pexp = np.exp(pos - zmax)
         denom_pos = pexp.sum(axis=1)
         nm = np.maximum(norms[m], _NORM_FLOOR)
-        G, ratio = np.empty((n, n)), np.empty((n, n))
+        G, r_anchor = np.empty((n, n)), np.empty(n)
 
-        for j, (v, (S, Q)) in enumerate(zip(others, sims)):
-            # omega is built in ratio's buffer, and ratio overwrites it once
-            # G is taken; the block of exps it came from holds the products
-            block = exps[:, j * n:(j + 1) * n]
-            omega = np.divide(block, denom_all[:, None], out=ratio)
+        for j, v in enumerate(others):
+            # omega, then G = omega / (Q tau1), in G's buffer from this
+            # pair's exps, rebuilt here; ratio = omega S / Q overwrites the
+            # pair's S, which nothing reads after
+            S = logits[:, j * n:(j + 1) * n]
+            omega = np.subtract(S, zmax, out=G)
+            np.exp(omega, out=omega)
+            omega /= denom_all[:, None]
             np.fill_diagonal(omega, omega.diagonal() - pexp[:, j] / denom_pos)
             omega /= n
-            np.multiply(Q, h.tau1, out=G)
-            np.divide(omega, G, out=G)
-            np.multiply(omega, S, out=ratio)
-            ratio /= Q
+            for rows, q in pair_blocks:
+                _q_rows(norms[m], norms[v], rows, h.norm_eps, q)
+                ratio = S[rows]
+                ratio *= omega[rows]
+                ratio /= q
+                q *= h.tau1
+                omega[rows] /= q
+                r_anchor[rows] = np.multiply(ratio, norms[v], out=q).sum(axis=1)
+            r_anchor /= nm
             nv = np.maximum(norms[v], _NORM_FLOOR)
+            r_comp = np.multiply(S, norms[m][:, None], out=S).sum(axis=0) / nv
             # anchor-side rows live in block m, comparison-side in block v
-            r_anchor = np.multiply(ratio, norms[v][None, :], out=block).sum(axis=1) / nm
-            r_comp = np.multiply(ratio, norms[m][:, None], out=block).sum(axis=0) / nv
             blocks[m] += ds.views[m] @ (G @ Y[v].T - r_anchor[:, None] * Y[m].T)
             blocks[v] += ds.views[v] @ (G.T @ Y[m].T - r_comp[:, None] * Y[v].T)
         # free anchor m's blocks before the next anchor's are built
-        del sims, logits, exps, G, ratio, S, Q, omega, block
+        del logits, G, S, omega, ratio
 
     for m in range(V):
         R = Y[m] - Y[m] @ W.W[m]

@@ -101,34 +101,35 @@ def view_embeddings(P, ds):
 
 
 def sim_matrix(A, B, tau, norm_eps, out=None):
-    """Pairwise temperature-scaled cosine similarities between columns.
+    """Pairwise temperature-scaled cosine similarities between columns,
+    S = A^T B / (Q tau) with Q = ||a_i|| ||b_k|| + norm_eps.
 
-    Returns (S, Q, na, nb): similarities, guarded denominators, column norms.
-    S is written into `out` when given (any float64 view of the right shape).
+    Returns S, written into `out` when given (any float64 view of the right
+    shape).  Q lives only inside this call; a caller that needs it rebuilds
+    it from the column norms.
     """
     A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
-    na = np.linalg.norm(A, axis=0)
-    nb = np.linalg.norm(B, axis=0)
-    Q = np.outer(na, nb)
+    Q = np.outer(np.linalg.norm(A, axis=0), np.linalg.norm(B, axis=0))
     Q += norm_eps
+    Q *= tau
     S = np.matmul(A.T, B, out=out)
-    S /= Q * tau
-    return S, Q, na, nb
+    S /= Q
+    return S
 
 
 def sample_logits(Y, m, h):
-    """Anchor view m's pairing, (others, sims, logits, pos): the other views
-    v, their sim_matrix(Y^m, Y^v) pairs (S, Q), the S side by side
-    (n x (V-1)n, each S a view of its block) and the positives diag(S)
-    (n x (V-1))."""
+    """Anchor view m's pairing, (others, logits, pos): the other views v,
+    their similarities sim_matrix(Y^m, Y^v) side by side (n x (V-1)n, column
+    block j the pair with others[j]) and the positives, the diagonal of each
+    block (n x (V-1))."""
     others = [v for v in range(len(Y)) if v != m]
     n = Y[m].shape[1]
     logits = np.empty((n, len(others) * n))
     sims = [sim_matrix(Y[m], Y[v], h.tau1, h.norm_eps,
-                       out=logits[:, j * n:(j + 1) * n])[:2]
+                       out=logits[:, j * n:(j + 1) * n])
             for j, v in enumerate(others)]
-    pos = np.stack([np.diagonal(S) for S, _ in sims], axis=1)
-    return others, sims, logits, pos
+    pos = np.stack([np.diagonal(S) for S in sims], axis=1)
+    return others, logits, pos
 
 
 def sample_infonce(P, ds, h):
@@ -143,7 +144,7 @@ def sample_infonce(P, ds, h):
     Y = view_embeddings(P, ds)
     total = 0.0
     for m in range(ds.V):
-        logits, pos = sample_logits(Y, m, h)[2:]
+        logits, pos = sample_logits(Y, m, h)[1:]
         terms = _logsumexp_inplace(logits, 1) - logsumexp(pos, axis=1)
         del logits  # free this anchor's logits before the next anchor's are built
         if not np.all(np.isfinite(terms)):
@@ -165,7 +166,7 @@ def structural_contrastive(W, h):
         for v in range(W.V):
             if v == m:
                 continue
-            S = sim_matrix(W.W[m], W.W[v], h.tau2, h.norm_eps)[0]
+            S = sim_matrix(W.W[m], W.W[v], h.tau2, h.norm_eps)
             diag = np.diagonal(S).copy()
             terms = _logsumexp_inplace(S, 1) - diag
             del S  # free this pair's S before the next pair's is built

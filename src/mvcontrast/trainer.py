@@ -108,7 +108,9 @@ def sweep_W(state, ds, h):
         # |W^m after - W^m before|, in the buffer that held the copy
         np.subtract(Wm, step, out=step)
         max_step = max(max_step, float(np.abs(step, out=step).max()))
-        del ctx, step  # free view m's n x n blocks before view m+1's are built
+        # free view m's n x n blocks before view m+1's are built; g is a
+        # column of ctx and holds it
+        del ctx, step, g
     state.last_max_step = max_step
     return state
 

@@ -236,16 +236,15 @@ def alloc_sim_matrix(A, B, tau, norm_eps):
     na = np.linalg.norm(A, axis=0)
     nb = np.linalg.norm(B, axis=0)
     Q = np.outer(na, nb) + norm_eps
-    S = (A.T @ B) / (Q * tau)
-    return S, Q, na, nb
+    return (A.T @ B) / (Q * tau)
 
 
 def alloc_sample_logits(Y, m, h):
     others = [v for v in range(len(Y)) if v != m]
-    sims = [alloc_sim_matrix(Y[m], Y[v], h.tau1, h.norm_eps)[:2] for v in others]
-    logits = np.concatenate([S for S, _ in sims], axis=1)
-    pos = np.stack([np.diagonal(S) for S, _ in sims], axis=1)
-    return others, sims, logits, pos
+    sims = [alloc_sim_matrix(Y[m], Y[v], h.tau1, h.norm_eps) for v in others]
+    logits = np.concatenate(sims, axis=1)
+    pos = np.stack([np.diagonal(S) for S in sims], axis=1)
+    return others, logits, pos
 
 
 def alloc_sample_infonce(P, ds, h):
@@ -255,7 +254,7 @@ def alloc_sample_infonce(P, ds, h):
     Y = view_embeddings(P, ds)
     total = 0.0
     for m in range(ds.V):
-        logits, pos = alloc_sample_logits(Y, m, h)[2:]
+        logits, pos = alloc_sample_logits(Y, m, h)[1:]
         terms = alloc_logsumexp(logits, axis=1) - alloc_logsumexp(pos, axis=1)
         if not np.all(np.isfinite(terms)):
             raise NumericError(f"non-finite InfoNCE term at view {m}")
@@ -271,7 +270,7 @@ def alloc_structural_contrastive(W, h):
         for v in range(W.V):
             if v == m:
                 continue
-            S = alloc_sim_matrix(W.W[m], W.W[v], h.tau2, h.norm_eps)[0]
+            S = alloc_sim_matrix(W.W[m], W.W[v], h.tau2, h.norm_eps)
             terms = alloc_logsumexp(S, axis=1) - np.diagonal(S)
             if not np.all(np.isfinite(terms)):
                 raise NumericError(f"non-finite structural term at pair ({m},{v})")
@@ -311,13 +310,15 @@ def alloc_grad_P(P, W, ds, h):
     n, V = ds.n, ds.V
     blocks = [np.zeros_like(P.block(m)) for m in range(V)]
     for m in range(V):
-        others, sims, logits, pos = alloc_sample_logits(Y, m, h)
+        others, logits, pos = alloc_sample_logits(Y, m, h)
         zmax = logits.max(axis=1, keepdims=True)
         exps = np.exp(logits - zmax)
         denom_all = exps.sum(axis=1)
         pexp = np.exp(pos - zmax)
         denom_pos = pexp.sum(axis=1)
-        for j, (v, (S, Q)) in enumerate(zip(others, sims)):
+        for j, v in enumerate(others):
+            S = logits[:, j * n:(j + 1) * n]
+            Q = np.outer(norms[m], norms[v]) + h.norm_eps
             omega = exps[:, j * n:(j + 1) * n] / denom_all[:, None]
             np.fill_diagonal(omega, omega.diagonal() - pexp[:, j] / denom_pos)
             omega /= n
