@@ -8,10 +8,12 @@ views of dimension 40, 32 and 24, noise 1.0, seed 0) and its `init_state` at
 d=8 under the criterion-6 hyperparameters, then measures each layer on that
 state:
 `init_state`, `sample_infonce`, `structural_contrastive`,
-`reconstruction_penalty`, `column_context` (view 0), `grad_P` and, last
-because it moves W, one `sweep_W`.  `knn_accuracy` scores n test samples
-against 80 training samples (eval-csv's largest training set) of dimension
-d=8, drawn from a standard normal with seed 0.  A layer's time is the median
+`reconstruction_penalty`, `column_context` (view 0), `grad_P`,
+`check_gradients` (at n in {75, 600} only: a check that probes one column
+per call takes minutes at n=2000) and, last because it moves W, one
+`sweep_W`.  `knn_accuracy` scores n test samples against 80 training samples
+(eval-csv's largest training set) of dimension d=8, drawn from a standard
+normal with seed 0.  A layer's time is the median
 of five untraced calls; its transient is the tracemalloc peak of one more
 call, on a state built under tracing, above the memory traced when that call
 starts, in bytes and in units of n^2 * 8 B (one n x n matrix), and includes
@@ -47,6 +49,7 @@ for _var in BLAS_THREAD_VARS:
     os.environ.setdefault(_var, str(CORES))
 
 SIZES, CALLS = (75, 600, 2000), 5
+CHECK_SIZES = (75, 600)
 DIMS, CLASSES, D = [40, 32, 24], 5, 8
 KNN_TRAIN = 80
 FIT_WIDE = dict(classes=4, per_class=150, iters=2, seed=1)
@@ -104,14 +107,17 @@ def state_bytes(state):
 def layer_calls(mv, state, ds, h):
     """The layers that read a state, sweep_W (which moves W) last."""
     P, W = state.P, state.W
-    return {
+    calls = {
         "sample_infonce": lambda: mv.sample_infonce(P, ds, h),
         "structural_contrastive": lambda: mv.structural_contrastive(W, h),
         "reconstruction_penalty": lambda: mv.reconstruction_penalty(P, ds, W, h),
         "column_context": lambda: mv.gradients.column_context(0, P, W, ds, h),
         "grad_P": lambda: mv.grad_P(P, W, ds, h),
-        "sweep_W": lambda: mv.sweep_W(state, ds, h),
     }
+    if ds.n in CHECK_SIZES:
+        calls["check_gradients"] = lambda: mv.check_gradients(P, W, ds, h)
+    calls["sweep_W"] = lambda: mv.sweep_W(state, ds, h)
+    return calls
 
 
 def knn_call(mv, n):
@@ -191,6 +197,7 @@ def main(argv=None):
         "d": D, "hyper": C6_HYPER, "calls": CALLS})
     results["setup"].setdefault("knn_train", KNN_TRAIN)
     results["setup"].setdefault("fit_wide", FIT_WIDE)
+    results["setup"].setdefault("check_sizes", list(CHECK_SIZES))
     results.setdefault("runs", {})[args.label] = run
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(results, fh, indent=1)

@@ -11,8 +11,8 @@ The alternating scheme optimizes two kinds of blocks:
 
 Gradients are derived from the implemented losses (grad_P from the pairing
 of losses.sample_logits) and validated against central differences along
-random directions: grad_w against w_subobjective, grad_P against
-losses.total_loss itself.
+random directions: column_context against view_subobjectives, grad_P
+against losses.total_loss itself.
 """
 
 from dataclasses import dataclass
@@ -30,20 +30,13 @@ _BLOCK_BYTES = 1 << 18
 P_DIRECTIONS = 4
 
 
-def w_subobjective(i, m, w, P, W, ds, h):
-    """Partial objective seen by coefficient column w_i^m (others fixed)."""
-    w = np.asarray(w, dtype=float)
-    value = 0.0
-    for v in range(W.V):
-        if v == m:
-            continue
-        sims = losses.sim_matrix(w[:, None], W.W[v], h.tau2, h.norm_eps)[0]
-        value += float(losses.logsumexp(sims) - sims[i])
+def view_subobjectives(m, Wm, P, W, ds, h):
+    """Entry i is the partial objective of column w_i^m with W^m replaced by
+    Wm, other blocks fixed; it reads Wm only through column i."""
+    values = sum(losses._structural_terms(Wm, W.W[v], h) for v in range(W.V) if v != m)
     B = losses.view_embeddings(P, ds)[m]
-    residual = B[:, i] - B @ w
-    value += h.alpha * float(residual @ residual)
-    value += h.beta * float(w @ w)
-    return value
+    R = B - B @ Wm
+    return values + h.alpha * (R * R).sum(axis=0) + h.beta * (Wm * Wm).sum(axis=0)
 
 
 def _row_blocks(n_rows, width):
@@ -76,7 +69,8 @@ def _q_rows(a, b, rows, norm_eps, out):
 
 
 def column_context(m, P, W, ds, h):
-    """G (n x n), whose column i is the gradient of w_subobjective at w_i^m.
+    """G (n x n), whose column i is the gradient of entry i of
+    view_subobjectives at w_i^m.
 
     Column i reads W^m only through w_i^m, so G holds while other columns of
     W^m move, not after P or another W^v does.  Per other view v, with
@@ -132,8 +126,8 @@ def column_context(m, P, W, ds, h):
 
 def grad_w(i, m, P, W, ds, h, ctx=None):
     """Column i of `ctx`, which is `column_context(m, P, W, ds, h)` (built
-    here when not given): the gradient of w_subobjective at w_i^m.  The
-    column is a view of `ctx`, whose finiteness column_context has checked."""
+    here when not given): the gradient of entry i of view_subobjectives at
+    w_i^m.  A view of `ctx`, whose finiteness column_context has checked."""
     G = column_context(m, P, W, ds, h) if ctx is None else ctx
     return G[:, i]
 
@@ -204,41 +198,43 @@ def check_gradients(P, W, ds, h, step=1e-6):
     """Compare each analytic gradient with a central difference along random
     unit directions u, drawn from a fixed seed so reports are deterministic.
 
-    Every coefficient column w_i^m gets one direction, against
-    w_subobjective; the stacked projection gets P_DIRECTIONS, against
-    total_loss.  A direction scores |<g, u> - fd| / max(||g||, |fd|, 1e-12),
-    so one nearly orthogonal to g cannot fail spuriously.  The report holds
-    the worst score and its block, ("w", m, i) or ("P",).
+    Every coefficient column w_i^m gets one direction, and one pair of
+    view_subobjectives calls probes all n columns of a view; the stacked
+    projection gets P_DIRECTIONS, against total_loss.  A direction scores
+    |<g, u> - fd| / max(||g||, |fd|, 1e-12), so one nearly orthogonal to g
+    cannot fail spuriously.  The report holds the worst score and its block,
+    ("w", m, i) or ("P",).
     """
     if not (np.isfinite(step) and step > 0):
         raise ConfigError(f"gradient check step must be finite and > 0, got {step}")
     rng = np.random.default_rng(0)
-    worst = GradCheckReport(max_rel_err=-1.0, worst_block=(), step=step)
 
-    def consider(block, f, x, analytic):
-        nonlocal worst
-        u = rng.normal(size=x.shape)
-        u /= np.linalg.norm(u)
-        fp, fm = f(x + step * u), f(x - step * u)
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise NumericError(f"non-finite objective value probing block {block}")
+    def probe(blocks, f, X, G, U):
+        """(score, block) of the worst of the probes of blocks[j] along
+        column j of U, normalized, against output j of f and column j of G."""
+        U = U / np.linalg.norm(U, axis=0)
+        fp, fm = np.atleast_1d(f(X + step * U)), np.atleast_1d(f(X - step * U))
+        bad = ~(np.isfinite(fp) & np.isfinite(fm))
+        if bad.any():
+            raise NumericError("non-finite objective value probing block "
+                               f"{blocks[int(np.argmax(bad))]}")
         numeric = (fp - fm) / (2.0 * step)
-        err = abs(float(np.sum(analytic * u)) - numeric) / max(
-            float(np.linalg.norm(analytic)), abs(numeric), 1e-12)
-        if err > worst.max_rel_err:
-            worst = GradCheckReport(max_rel_err=err, worst_block=block, step=step)
+        err = np.abs((G * U).sum(axis=0) - numeric) / np.maximum(
+            np.maximum(np.linalg.norm(G, axis=0), np.abs(numeric)), 1e-12)
+        j = int(np.argmax(err))
+        return float(err[j]), blocks[j]
 
-    for m in range(W.V):
-        ctx = column_context(m, P, W, ds, h)
-        for i in range(W.n):
-            consider(("w", m, i),
-                     lambda w: w_subobjective(i, m, w, P, W, ds, h),
-                     W.W[m][:, i], grad_w(i, m, P, W, ds, h, ctx=ctx))
-
-    analytic = grad_P(P, W, ds, h)
-    for _ in range(P_DIRECTIONS):
-        consider(("P",),
-                 lambda p: losses.total_loss(
-                     losses.ProjectionStack(p, ds.view_dims), W, ds, h),
-                 P.P, analytic)
-    return worst
+    # column i of each view's draw holds column i's n draws, in per-column order
+    scores = [probe([("w", m, i) for i in range(W.n)],
+                    lambda Wm: view_subobjectives(m, Wm, P, W, ds, h), W.W[m],
+                    column_context(m, P, W, ds, h), rng.normal(size=(W.n, W.n)).T)
+              for m in range(W.V)]
+    analytic = grad_P(P, W, ds, h).reshape(-1, 1)
+    scores += [probe([("P",)],
+                     lambda p: losses.total_loss(losses.ProjectionStack(
+                         p.reshape(P.P.shape), ds.view_dims), W, ds, h),
+                     P.P.reshape(-1, 1), analytic, rng.normal(size=analytic.shape))
+               for _ in range(P_DIRECTIONS)]
+    # the first of equal scores, as a strict running maximum would keep
+    err, block = max(scores, key=lambda score: score[0])
+    return GradCheckReport(max_rel_err=err, worst_block=block, step=step)

@@ -16,6 +16,7 @@ only in `sample_logits`.
 """
 
 from dataclasses import dataclass
+from itertools import permutations
 
 import numpy as np
 
@@ -154,6 +155,14 @@ def sample_infonce(P, ds, h):
     return total
 
 
+def _structural_terms(Wm, Wv, h):
+    """The per-anchor terms of structural_contrastive's pair (m, v); entry i
+    reads W^m only through its column i."""
+    S = sim_matrix(Wm, Wv, h.tau2, h.norm_eps)
+    diag = np.diagonal(S).copy()
+    return _logsumexp_inplace(S, 1) - diag
+
+
 def structural_contrastive(W, h):
     """Structural-level InfoNCE over reconstruction-coefficient columns.
 
@@ -162,19 +171,13 @@ def structural_contrastive(W, h):
     denominator includes k = i.
     """
     total = 0.0
-    for m in range(W.V):
-        for v in range(W.V):
-            if v == m:
-                continue
-            S = sim_matrix(W.W[m], W.W[v], h.tau2, h.norm_eps)
-            diag = np.diagonal(S).copy()
-            terms = _logsumexp_inplace(S, 1) - diag
-            del S  # free this pair's S before the next pair's is built
-            if not np.all(np.isfinite(terms)):
-                bad = int(np.flatnonzero(~np.isfinite(terms))[0])
-                raise NumericError(
-                    f"non-finite structural term at pair ({m},{v}), anchor {bad}")
-            total += float(np.mean(terms))
+    for m, v in permutations(range(W.V), 2):
+        terms = _structural_terms(W.W[m], W.W[v], h)
+        if not np.all(np.isfinite(terms)):
+            bad = int(np.flatnonzero(~np.isfinite(terms))[0])
+            raise NumericError(
+                f"non-finite structural term at pair ({m},{v}), anchor {bad}")
+        total += float(np.mean(terms))
     return total
 
 

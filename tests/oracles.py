@@ -3,7 +3,8 @@
 Everything here is written as plain nested loops with naive exp/log, on
 purpose: these functions arbitrate the vectorized, log-sum-exp-stabilized
 library code and must not share any of its structure.  The exceptions
-are the per-column references for the optimizer's matrix forms:
+are the per-column references for the library's matrix forms:
+`per_column_check`, check_gradients with one probe per call;
 `per_column_grad_w`, the gradient of one coefficient column as a vector
 formula; `per_column_sweep`, the W sweep that steps each column from it
 with the library's own adam_step; and `reconstruction_grad_P`, the
@@ -96,6 +97,41 @@ def naive_w_subobjective(i, m, w, P, ds, W, h):
         value += h.alpha * (B[r, i] - fit) ** 2
     value += h.beta * sum(x * x for x in w)
     return value
+
+
+def per_column_check(P, W, ds, h, step):
+    """check_gradients' (max_rel_err, worst_block), one probe at a time: the
+    same seeded unit directions, each coefficient column against
+    naive_w_subobjective and the library's column gradient, then the
+    P_DIRECTIONS projection directions against total_loss."""
+    from mvcontrast.gradients import P_DIRECTIONS, column_context, grad_P
+    from mvcontrast.losses import ProjectionStack, total_loss
+
+    rng = np.random.default_rng(0)
+    worst = (-1.0, ())
+
+    def consider(block, f, x, analytic):
+        nonlocal worst
+        u = rng.normal(size=x.shape)
+        u /= np.linalg.norm(u)
+        numeric = (f(x + step * u) - f(x - step * u)) / (2.0 * step)
+        err = abs(float(np.sum(analytic * u)) - numeric) / max(
+            float(np.linalg.norm(analytic)), abs(numeric), 1e-12)
+        if err > worst[0]:
+            worst = (err, block)
+
+    for m in range(len(W.W)):
+        G = column_context(m, P, W, ds, h)
+        for i in range(W.n):
+            consider(("w", m, i),
+                     lambda w: naive_w_subobjective(i, m, w, P, ds, W, h),
+                     W.W[m][:, i], G[:, i])
+    analytic = grad_P(P, W, ds, h)
+    for _ in range(P_DIRECTIONS):
+        consider(("P",),
+                 lambda p: total_loss(ProjectionStack(p, ds.view_dims), W, ds, h),
+                 P.P, analytic)
+    return worst
 
 
 def naive_alignment(W):

@@ -1,5 +1,3 @@
-import time
-
 import numpy as np
 import pytest
 
@@ -7,9 +5,9 @@ import mvcontrast as mv
 from mvcontrast.errors import NumericError
 from mvcontrast.cli import gradcheck_instance
 from mvcontrast.gradients import (check_gradients, column_context, grad_P,
-                                  grad_w, w_subobjective)
-from oracles import (fd_gradient, naive_w_subobjective, per_column_grad_w,
-                     random_instance, reconstruction_grad_P)
+                                  grad_w, view_subobjectives)
+from oracles import (fd_gradient, naive_w_subobjective, per_column_check,
+                     per_column_grad_w, random_instance, reconstruction_grad_P)
 
 
 def hyper(**kw):
@@ -26,9 +24,23 @@ def total_loss_at(p, P, W, ds, h):
 
 def ridge_gradient(i, m, w, P, ds, h):
     """2 alpha B^T (B w - B_i) + 2 beta w with B = P_m^T X^m: the gradient
-    of the alpha and beta terms of w_subobjective, in closed form."""
+    of the alpha and beta terms of column i's partial objective, in closed
+    form."""
     B = P.block(m).T @ ds.views[m]
     return 2.0 * h.alpha * B.T @ (B @ w - B[:, i]) + 2.0 * h.beta * w
+
+
+def many_seed_instances():
+    """(seed, (ds, P, W, h)) for 20 small instances of 2 or 3 views."""
+    for seed in range(20):
+        n = 3 + seed % 4
+        V = 2 + seed % 2
+        dims = tuple(2 + (seed + j) % 4 for j in range(V))
+        d = 1 + seed % 3
+        if d > min(dims):
+            d = min(dims)
+        ds, P, W = random_instance(seed + 500, n=n, V=V, dims=dims, d=d)
+        yield seed, (ds, P, W, hyper(d=d, tau1=0.9, tau2=1.1, alpha=0.3, beta=0.1))
 
 
 class TestFdGradient:
@@ -54,10 +66,29 @@ class TestWSubobjective:
             h = hyper(tau2=[0.5, 1.0, 2.0][seed % 3], alpha=0.7, beta=0.4)
             rng = np.random.default_rng(seed)
             for m in range(V):
+                # column i is the i-th draw of n
+                Wm = rng.normal(size=(n, n)).T
+                values = view_subobjectives(m, Wm, P, W, ds, h)
                 for i in range(n):
-                    w = rng.normal(size=n)
-                    assert w_subobjective(i, m, w, P, W, ds, h) == pytest.approx(
-                        naive_w_subobjective(i, m, w, P, ds, W, h), rel=1e-12)
+                    assert values[i] == pytest.approx(
+                        naive_w_subobjective(i, m, Wm[:, i], P, ds, W, h), rel=1e-12)
+
+    @pytest.mark.parametrize("V, n", [(3, 6), (2, 75)])
+    def test_column_perturbation_is_local(self, V, n):
+        # check_gradients probes every column of a view in one call, which
+        # holds only if moving column j leaves every other entry's bits alone
+        ds, P, W = random_instance(40 + V, n=n, V=V, dims=(4, 3, 5)[:V])
+        h = hyper(tau2=0.7, alpha=0.6, beta=0.2)
+        rng = np.random.default_rng(n)
+        for m in range(V):
+            base = view_subobjectives(m, W.W[m], P, W, ds, h)
+            for j in range(n):
+                Wm = W.W[m].copy()
+                Wm[:, j] += rng.normal(size=n)
+                values = view_subobjectives(m, Wm, P, W, ds, h)
+                rest = np.arange(n) != j
+                assert np.array_equal(values[rest], base[rest])
+                assert values[j] != base[j]
 
 
 class TestGradW:
@@ -86,7 +117,7 @@ class TestGradW:
             for i in range(5):
                 analytic = grad_w(i, m, P, W, ds, h)
                 numeric = fd_gradient(
-                    lambda w: w_subobjective(i, m, w, P, W, ds, h),
+                    lambda w: naive_w_subobjective(i, m, w, P, ds, W, h),
                     W.W[m][:, i], 1e-6)
                 scale = max(np.max(np.abs(analytic)), 1.0)
                 assert np.max(np.abs(analytic - numeric)) / scale < 1e-5
@@ -192,14 +223,14 @@ class TestCheckGradients:
         ds, P, W = random_instance(15)
         import mvcontrast.gradients as gr
 
-        true_grad_w = gr.grad_w
+        true_context = gr.column_context
 
         def broken(*args, **kwargs):
-            g = true_grad_w(*args, **kwargs)
-            g[0] *= 1.5
-            return g
+            G = true_context(*args, **kwargs)
+            G[0] *= 1.5
+            return G
 
-        monkeypatch.setattr(gr, "grad_w", broken)
+        monkeypatch.setattr(gr, "column_context", broken)
         report = gr.check_gradients(P, W, ds, hyper(), step=1e-6)
         assert report.max_rel_err > 1e-2
 
@@ -223,15 +254,15 @@ class TestCheckGradients:
         ds, P, W = random_instance(18, n=6, V=3, dims=(4, 3, 5))
         import mvcontrast.gradients as gr
 
-        true_grad_w = gr.grad_w
+        true_context = gr.column_context
 
-        def broken(i, m, *args, **kwargs):
-            g = true_grad_w(i, m, *args, **kwargs)
+        def broken(m, *args, **kwargs):
+            G = true_context(m, *args, **kwargs)
             if m == 2:
-                g[0] *= 1.5
-            return g
+                G[0] *= 1.5
+            return G
 
-        monkeypatch.setattr(gr, "grad_w", broken)
+        monkeypatch.setattr(gr, "column_context", broken)
         report = gr.check_gradients(P, W, ds, hyper(), step=1e-6)
         assert report.max_rel_err > 1e-2
         assert report.worst_block[:2] == ("w", 2)
@@ -240,7 +271,8 @@ class TestCheckGradients:
         ds, P, W = random_instance(19)
         import mvcontrast.gradients as gr
 
-        monkeypatch.setattr(gr, "w_subobjective", lambda *args: float("nan"))
+        monkeypatch.setattr(gr, "view_subobjectives",
+                            lambda m, Wm, *args: np.full(Wm.shape[1], np.nan))
         with pytest.raises(NumericError, match=r"\('w', 0, 0\)"):
             gr.check_gradients(P, W, ds, hyper(), step=1e-6)
 
@@ -251,12 +283,8 @@ class TestCheckGradients:
 
     def test_wide_instance_passes(self):
         ds, P, W = gradcheck_instance(1, n=600, V=3, dims=(5, 4, 6), d=3)
-        t0 = time.perf_counter()
         report = check_gradients(P, W, ds, hyper(d=3), step=1e-6)
-        elapsed = time.perf_counter() - t0
         assert report.max_rel_err <= 1e-4, report
-        if elapsed > 60.0:
-            pytest.skip(f"n=600 check took {elapsed:.0f} s, more than 60 s")
 
     def test_error_curve_truncation_dominates_at_large_step(self):
         ds, P, W = random_instance(16)
@@ -266,14 +294,15 @@ class TestCheckGradients:
         assert errs[0] > errs[1]
 
     def test_many_seeds(self):
-        for seed in range(20):
-            n = 3 + seed % 4
-            V = 2 + seed % 2
-            dims = tuple(2 + (seed + j) % 4 for j in range(V))
-            d = 1 + seed % 3
-            if d > min(dims):
-                d = min(dims)
-            ds, P, W = random_instance(seed + 500, n=n, V=V, dims=dims, d=d)
-            h = hyper(d=d, tau1=0.9, tau2=1.1, alpha=0.3, beta=0.1)
+        for seed, (ds, P, W, h) in many_seed_instances():
             report = check_gradients(P, W, ds, h, step=1e-6)
             assert report.max_rel_err <= 1e-4, f"seed {seed}: {report}"
+
+    def test_matches_per_column_reference(self):
+        # worst_block is not compared: columns whose scores tie at round-off
+        # level may be named in either order
+        for seed, (ds, P, W, h) in many_seed_instances():
+            report = check_gradients(P, W, ds, h, step=1e-6)
+            ref_err = per_column_check(P, W, ds, h, step=1e-6)[0]
+            assert abs(report.max_rel_err - ref_err) <= 1e-8, f"seed {seed}"
+
