@@ -11,11 +11,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import trainer
+from . import losses, trainer
 from .data import SplitSpec, split
 from .errors import ConfigError, DataError, NumericError
-
-_BLOCK_BYTES = 1 << 18  # one block of 1-NN distances; 256 KiB stays in L2 cache
 
 
 def project(model, ds):
@@ -41,20 +39,14 @@ def project(model, ds):
 
 
 def _distance_blocks(train_emb, test_emb):
-    """Yield (start, D) per block of test samples, D[i, j] = |tr_j|^2 -
-    2 te_(start+i).tr_j in one reused buffer (the distance less |te|^2)."""
-    n_test, n_train = test_emb.shape[1], train_emb.shape[1]
-    rows = max(2, _BLOCK_BYTES // (8 * n_train))
-    # a 1-row product goes through gemv, which may round differently from
-    # gemm, so a 1-row tail joins the block before it
-    stops = [*range(rows, n_test - 1, rows), n_test]
-    buf = np.empty((min(rows + 1, n_test), n_train))
+    """Yield (start, D) per block of test samples (losses.row_blocks),
+    D[i, j] = |tr_j|^2 - 2 te_(start+i).tr_j in one reused buffer (the
+    distance less |te|^2)."""
     sq_tr = np.sum(train_emb ** 2, axis=0)
-    for start, stop in zip([0, *stops], stops):
-        d = buf[:stop - start]
-        np.matmul(test_emb[:, start:stop].T, train_emb, out=d)
+    for rows, d in losses.row_blocks(test_emb.shape[1], train_emb.shape[1]):
+        np.matmul(test_emb[:, rows].T, train_emb, out=d)
         d *= 2.0
-        yield start, np.subtract(sq_tr, d, out=d)
+        yield rows.start, np.subtract(sq_tr, d, out=d)
 
 
 def knn_accuracy(train_emb, train_labels, test_emb, test_labels):

@@ -12,7 +12,11 @@ The alternating scheme optimizes two kinds of blocks:
 Gradients are derived from the implemented losses (grad_P from the pairing
 of losses.sample_logits) and validated against central differences along
 random directions: column_context against view_subobjectives, grad_P
-against losses.total_loss itself.
+against the P-dependent terms of losses.total_loss.  Both gradients rebuild
+the similarity denominator Q one block of rows at a time (losses.row_blocks
+and q_rows), and grad_P sums its softmax denominators with
+losses.shifted_exp_sums: the walk that losses.similarity and row_logsumexp
+take.
 """
 
 from dataclasses import dataclass
@@ -23,9 +27,6 @@ from . import losses
 from .errors import ConfigError, NumericError
 
 _NORM_FLOOR = 1e-300
-# the most bytes a block of rows of grad_P's and column_context's
-# intermediates may hold (a block has one row at least)
-_BLOCK_BYTES = 1 << 18
 # random directions along which check_gradients probes grad_P
 P_DIRECTIONS = 4
 
@@ -37,35 +38,6 @@ def view_subobjectives(m, Wm, P, W, ds, h):
     B = losses.view_embeddings(P, ds)[m]
     R = B - B @ Wm
     return values + h.alpha * (R * R).sum(axis=0) + h.beta * (Wm * Wm).sum(axis=0)
-
-
-def _row_blocks(n_rows, width):
-    """[(rows, buf)] over consecutive blocks of rows of an n_rows x `width`
-    float64 array: `rows` a slice of at most _BLOCK_BYTES of rows (at least
-    one), `buf` a rows x width view of one scratch array the blocks share."""
-    step = max(1, _BLOCK_BYTES // (8 * width))
-    scratch = np.empty((min(step, n_rows), width))
-    blocks = []
-    for start in range(0, n_rows, step):
-        stop = min(start + step, n_rows)
-        blocks.append((slice(start, stop), scratch[:stop - start]))
-    return blocks
-
-
-def _exp_row_sums(logits, zmax):
-    """Row sums of exp(logits - zmax), one block of rows at a time."""
-    sums = np.empty(logits.shape[0])
-    for rows, e in _row_blocks(*logits.shape):
-        np.subtract(logits[rows], zmax[rows], out=e)
-        sums[rows] = np.exp(e, out=e).sum(axis=1)
-    return sums
-
-
-def _q_rows(a, b, rows, norm_eps, out):
-    """Rows `rows` of sim_matrix's denominator Q = a b^T + norm_eps over the
-    column norms a and b, written into `out` in np.outer's arithmetic."""
-    np.multiply(a[rows, None], b, out=out)
-    out += norm_eps
 
 
 def column_context(m, P, W, ds, h):
@@ -88,26 +60,22 @@ def column_context(m, P, W, ds, h):
     # two n x n buffers, reused across the other views; Q is rebuilt one
     # block of rows at a time where it is read
     S, C = np.empty_like(Wm), np.empty_like(Wm)
-    blocks = _row_blocks(W.n, W.n)
     for Wv, nv in others:
-        np.matmul(Wv.T, Wm, out=S)
-        for rows, q in blocks:
-            _q_rows(nv, nw, rows, h.norm_eps, q)
-            q *= h.tau2
-            S[rows] /= q
+        losses.similarity(Wv, Wm, nv, nw, h.tau2, h.norm_eps, out=S)
         np.subtract(S, S.max(axis=0), out=C)
         np.exp(C, out=C)
         C /= C.sum(axis=0)
         np.fill_diagonal(C, C.diagonal() - 1.0)
         # C * S * n_v / Q in S's buffer, for shrink; then C / (Q tau)
-        for rows, q in blocks:
-            _q_rows(nv, nw, rows, h.norm_eps, q)
+        for rows, q in losses.row_blocks(W.n, W.n):
+            losses.q_rows(nv, nw, rows, h.norm_eps, q)
             s = S[rows]
             s *= C[rows]
             s *= nv[rows, None]
             s /= q
             q *= h.tau2
             C[rows] /= q
+        del q  # free the row block before the next view's similarity
         shrink = S.sum(axis=0) / nw
         G += np.matmul(Wv, C, out=S)
         G -= np.multiply(Wm, shrink, out=S)
@@ -138,13 +106,12 @@ def grad_P(P, W, ds, h):
     norms = [np.linalg.norm(y, axis=0) for y in Y]
     n, V = ds.n, ds.V
     blocks = [np.zeros_like(P.block(m)) for m in range(V)]
-    pair_blocks = _row_blocks(n, n)
 
     for m in range(V):
         others, logits, pos = losses.sample_logits(Y, m, h)
         # softmax over every comparison pair, and over the positives only
         zmax = logits.max(axis=1, keepdims=True)
-        denom_all = _exp_row_sums(logits, zmax)
+        denom_all = losses.shifted_exp_sums(logits, zmax)
         pexp = np.exp(pos - zmax)
         denom_pos = pexp.sum(axis=1)
         nm = np.maximum(norms[m], _NORM_FLOOR)
@@ -160,14 +127,15 @@ def grad_P(P, W, ds, h):
             omega /= denom_all[:, None]
             np.fill_diagonal(omega, omega.diagonal() - pexp[:, j] / denom_pos)
             omega /= n
-            for rows, q in pair_blocks:
-                _q_rows(norms[m], norms[v], rows, h.norm_eps, q)
+            for rows, q in losses.row_blocks(n, n):
+                losses.q_rows(norms[m], norms[v], rows, h.norm_eps, q)
                 ratio = S[rows]
                 ratio *= omega[rows]
                 ratio /= q
                 q *= h.tau1
                 omega[rows] /= q
                 r_anchor[rows] = np.multiply(ratio, norms[v], out=q).sum(axis=1)
+            del q  # free the row block before the next pair's
             r_anchor /= nm
             nv = np.maximum(norms[v], _NORM_FLOOR)
             r_comp = np.multiply(S, norms[m][:, None], out=S).sum(axis=0) / nv
@@ -200,7 +168,8 @@ def check_gradients(P, W, ds, h, step=1e-6):
 
     Every coefficient column w_i^m gets one direction, and one pair of
     view_subobjectives calls probes all n columns of a view; the stacked
-    projection gets P_DIRECTIONS, against total_loss.  A direction scores
+    projection gets P_DIRECTIONS, against the terms of total_loss that read
+    P (sample_infonce + lam * reconstruction_penalty).  A direction scores
     |<g, u> - fd| / max(||g||, |fd|, 1e-12), so one nearly orthogonal to g
     cannot fail spuriously.  The report holds the worst score and its block,
     ("w", m, i) or ("P",).
@@ -229,11 +198,16 @@ def check_gradients(P, W, ds, h, step=1e-6):
                     lambda Wm: view_subobjectives(m, Wm, P, W, ds, h), W.W[m],
                     column_context(m, P, W, ds, h), rng.normal(size=(W.n, W.n)).T)
               for m in range(W.V)]
+
+    def p_terms(p):
+        """The terms of total_loss that read P, at P = p."""
+        Pp = losses.ProjectionStack(p.reshape(P.P.shape), ds.view_dims)
+        return (losses.sample_infonce(Pp, ds, h)
+                + h.lam * losses.reconstruction_penalty(Pp, ds, W, h))
+
     analytic = grad_P(P, W, ds, h).reshape(-1, 1)
-    scores += [probe([("P",)],
-                     lambda p: losses.total_loss(losses.ProjectionStack(
-                         p.reshape(P.P.shape), ds.view_dims), W, ds, h),
-                     P.P.reshape(-1, 1), analytic, rng.normal(size=analytic.shape))
+    scores += [probe([("P",)], p_terms, P.P.reshape(-1, 1), analytic,
+                     rng.normal(size=analytic.shape))
                for _ in range(P_DIRECTIONS)]
     # the first of equal scores, as a strict running maximum would keep
     err, block = max(scores, key=lambda score: score[0])

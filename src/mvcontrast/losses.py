@@ -10,9 +10,11 @@ Three pieces:
     tying the coefficients to the embedded data.
 
 Total objective: sample_infonce + lam * (structural_contrastive +
-reconstruction_penalty).  Every softmax-style term goes through a max-shifted
-log-sum-exp path.  Y^m is formed only in `view_embeddings`, the pairing
-only in `sample_logits`.
+reconstruction_penalty).  Both heads score pairs with one cosine similarity
+(`similarity`) and one max-shifted row log-sum-exp (`row_logsumexp`), which
+form their n x n intermediates one block of rows at a time (`row_blocks`), as
+the gradients and 1-NN's distances do.  Y^m is formed only in
+`view_embeddings`, the pairing only in `sample_logits`.
 """
 
 from dataclasses import dataclass
@@ -22,6 +24,8 @@ import numpy as np
 
 from .data import view_offsets
 from .errors import DataError, NumericError
+
+_BLOCK_BYTES = 1 << 18  # one block of row_blocks' scratch; 256 KiB stays in L2 cache
 
 
 @dataclass
@@ -77,45 +81,70 @@ class CoefficientSet:
         return CoefficientSet([w.copy() for w in self.W])
 
 
-def logsumexp(a, axis=None):
-    """log(sum(exp(a))) along `axis` (over all entries when None).
-
-    The maximum is subtracted before exponentiating, so no term overflows.
-    """
-    return _logsumexp_inplace(np.array(a, dtype=float), axis)
-
-
-def _logsumexp_inplace(a, axis):
-    """logsumexp(a, axis) for a float array `a`, which it overwrites: the
-    shift and exp run in `a`, so the only new memory is the reduced shape."""
-    shift = np.max(a, axis=axis, keepdims=True)
-    shift[~np.isfinite(shift)] = 0.0
-    np.subtract(a, shift, out=a)
-    np.exp(a, out=a)
-    out = np.log(np.sum(a, axis=axis, keepdims=True)) + shift
-    return np.squeeze(out, axis=axis)
-
-
 def view_embeddings(P, ds):
     """Per-view embeddings Y^m = P_m^T X^m (d x n each)."""
     return [P.block(m).T @ ds.views[m] for m in range(ds.V)]
 
 
+def row_blocks(n_rows, width):
+    """[(rows, buf)] over consecutive blocks of rows of an n_rows x `width`
+    float64 array: `rows` a slice of about _BLOCK_BYTES of rows and at least
+    two (a one-row matrix product goes through gemv, which may round
+    differently from gemm, so a one-row tail joins the block before it);
+    `buf` a rows x width view of one scratch array the blocks share."""
+    step = max(2, _BLOCK_BYTES // (8 * width))
+    stops = [*range(step, n_rows - 1, step), n_rows]
+    scratch = np.empty((min(step + 1, n_rows), width))
+    return [(slice(start, stop), scratch[:stop - start])
+            for start, stop in zip([0, *stops], stops)]
+
+
+def q_rows(a, b, rows, norm_eps, out):
+    """Rows `rows` of the similarity denominator Q = a b^T + norm_eps over
+    the column norms a and b, written into `out` in np.outer's arithmetic."""
+    np.multiply(a[rows, None], b, out=out)
+    out += norm_eps
+
+
+def similarity(A, B, na, nb, tau, norm_eps, out=None):
+    """S = A^T B / (Q tau), Q = na nb^T + norm_eps: the temperature-scaled
+    cosine similarities between the columns of A and B, given their column
+    norms na and nb.  S is written into `out` when given (any float64 view
+    of the right shape); Q is formed one block of rows at a time."""
+    S = np.matmul(A.T, B, out=out)
+    for rows, q in row_blocks(*S.shape):
+        q_rows(na, nb, rows, norm_eps, q)
+        q *= tau
+        S[rows] /= q
+    return S
+
+
 def sim_matrix(A, B, tau, norm_eps, out=None):
     """Pairwise temperature-scaled cosine similarities between columns,
-    S = A^T B / (Q tau) with Q = ||a_i|| ||b_k|| + norm_eps.
-
-    Returns S, written into `out` when given (any float64 view of the right
-    shape).  Q lives only inside this call; a caller that needs it rebuilds
-    it from the column norms.
+    S = A^T B / (Q tau) with Q = ||a_i|| ||b_k|| + norm_eps (see similarity).
     """
     A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
-    Q = np.outer(np.linalg.norm(A, axis=0), np.linalg.norm(B, axis=0))
-    Q += norm_eps
-    Q *= tau
-    S = np.matmul(A.T, B, out=out)
-    S /= Q
-    return S
+    return similarity(A, B, np.linalg.norm(A, axis=0), np.linalg.norm(B, axis=0),
+                      tau, norm_eps, out)
+
+
+def shifted_exp_sums(a, shift):
+    """Row sums of exp(a - shift) for a 2-D array `a` and a column of
+    shifts, one block of rows at a time."""
+    sums = np.empty(a.shape[0])
+    for rows, e in row_blocks(*a.shape):
+        np.subtract(a[rows], shift[rows], out=e)
+        sums[rows] = np.exp(e, out=e).sum(axis=1)
+    return sums
+
+
+def row_logsumexp(a):
+    """log(sum(exp(row))) for each row of a 2-D float array.  Each row's
+    maximum (0 where it is not finite) is subtracted before exponentiating,
+    so no term overflows."""
+    shift = a.max(axis=1, keepdims=True)
+    shift[~np.isfinite(shift)] = 0.0
+    return np.log(shifted_exp_sums(a, shift)) + shift[:, 0]
 
 
 def sample_logits(Y, m, h):
@@ -146,7 +175,7 @@ def sample_infonce(P, ds, h):
     total = 0.0
     for m in range(ds.V):
         logits, pos = sample_logits(Y, m, h)[1:]
-        terms = _logsumexp_inplace(logits, 1) - logsumexp(pos, axis=1)
+        terms = row_logsumexp(logits) - row_logsumexp(pos)
         del logits  # free this anchor's logits before the next anchor's are built
         if not np.all(np.isfinite(terms)):
             bad = int(np.flatnonzero(~np.isfinite(terms))[0])
@@ -159,8 +188,7 @@ def _structural_terms(Wm, Wv, h):
     """The per-anchor terms of structural_contrastive's pair (m, v); entry i
     reads W^m only through its column i."""
     S = sim_matrix(Wm, Wv, h.tau2, h.norm_eps)
-    diag = np.diagonal(S).copy()
-    return _logsumexp_inplace(S, 1) - diag
+    return row_logsumexp(S) - np.diagonal(S)
 
 
 def structural_contrastive(W, h):

@@ -51,9 +51,8 @@ class TestBitIdenticalToAllocatingForms:
             ref_others, ref_logits, ref_pos = alloc_sample_logits(Y, m, h)
             assert others == ref_others
             assert np.array_equal(logits, ref_logits) and np.array_equal(pos, ref_pos)
-        for axis in (None, 0, 1):
-            assert np.array_equal(losses.logsumexp(logits, axis=axis),
-                                  alloc_logsumexp(logits, axis=axis))
+        assert np.array_equal(losses.row_logsumexp(logits),
+                              alloc_logsumexp(logits, axis=1))
 
     @pytest.mark.parametrize("V,n,seed", CASES)
     def test_losses(self, V, n, seed):
@@ -72,12 +71,23 @@ class TestBitIdenticalToAllocatingForms:
     @pytest.mark.parametrize("rows", (1, 2, 7))
     @pytest.mark.parametrize("V,n,seed", [case for case in CASES if case[1] > 2])
     def test_gradients_in_row_blocks(self, monkeypatch, V, n, seed, rows):
-        """grad_P and column_context rebuild Q and sum the softmax
-        denominators one block of rows at a time; blocks of `rows` rows of Q
-        (and fewer of the n x (V-1)n logits), a partial last one included,
-        change no bit."""
-        monkeypatch.setattr(gradients, "_BLOCK_BYTES", 8 * n * rows)
+        """The similarity, the losses and the gradients form Q and sum the
+        softmax denominators one block of rows at a time; blocks of `rows`
+        rows of Q (at least two, and fewer of the n x (V-1)n logits), a
+        partial last block included, change no bit."""
+        monkeypatch.setattr(losses, "_BLOCK_BYTES", 8 * n * rows)
         ds, P, W, h = instance(V, n, seed)
+        Y = losses.view_embeddings(P, ds)
+        assert np.array_equal(losses.sim_matrix(W.W[0], W.W[1], h.tau2, h.norm_eps),
+                              alloc_sim_matrix(W.W[0], W.W[1], h.tau2, h.norm_eps))
+        for m in range(V):
+            _, logits, pos = losses.sample_logits(Y, m, h)
+            _, ref_logits, ref_pos = alloc_sample_logits(Y, m, h)
+            assert np.array_equal(logits, ref_logits) and np.array_equal(pos, ref_pos)
+            assert np.array_equal(losses.row_logsumexp(logits),
+                                  alloc_logsumexp(logits, axis=1))
+        assert mv.sample_infonce(P, ds, h) == alloc_sample_infonce(P, ds, h)
+        assert mv.structural_contrastive(W, h) == alloc_structural_contrastive(W, h)
         assert np.array_equal(mv.grad_P(P, W, ds, h), alloc_grad_P(P, W, ds, h))
         for m in range(V):
             assert np.array_equal(gradients.column_context(m, P, W, ds, h),
@@ -118,7 +128,7 @@ class TestBitIdenticalToAllocatingForms:
 
 def block_rows(n_train):
     """Test samples in one of 1-NN's distance blocks."""
-    return max(2, evaluation._BLOCK_BYTES // (8 * n_train))
+    return max(2, losses._BLOCK_BYTES // (8 * n_train))
 
 
 def blocked_distances(train, test):
@@ -226,11 +236,11 @@ def layer_units():
 
 class TestTransientMemory:
     # in units of one n x n float64 matrix, at n=300, V=3: the n x (V-1)n
-    # logits, G and one block of rows of Q for grad_P; the logits and the
-    # Q inside sim_matrix for sample_infonce; S and Q for the structural
-    # term; G, S and C for column_context and the sweep.  The excess over
-    # those counts is the 256 KiB row block and numpy's buffers.
-    BOUNDS = {"grad_P": 4.0, "sample_infonce": 3.5, "structural_contrastive": 2.25,
+    # logits, G and one block of rows of Q for grad_P; the logits for
+    # sample_infonce; S for the structural term; G, S and C for
+    # column_context and the sweep.  The excess over those counts is the
+    # 256 KiB row blocks and numpy's buffers.
+    BOUNDS = {"grad_P": 4.0, "sample_infonce": 2.9, "structural_contrastive": 1.75,
               "column_context": 3.75, "sweep_W": 3.75}
 
     def test_layer_peaks(self):
@@ -240,7 +250,7 @@ class TestTransientMemory:
     def test_holding_a_full_q_per_pair_fails(self, monkeypatch):
         # Q rebuilt whole instead of in row blocks, and each pair's Q kept
         # for the rest of the layer's call
-        monkeypatch.setattr(gradients, "_BLOCK_BYTES", 1 << 62)
+        monkeypatch.setattr(losses, "_BLOCK_BYTES", 1 << 62)
         true_sim_matrix, held = losses.sim_matrix, []
 
         def holding_q(A, B, tau, norm_eps, out=None):
