@@ -26,6 +26,12 @@ dimensions and noise, d=8, tol=1e-12, data and fit seed 1), with the median
 of five untraced fits and the tracemalloc peak of one more, which includes
 the state the fit builds.
 
+Once more, it measures the CSV files of perfbench's eval-csv workload: one
+`save_views` and one `load_views` of 4 blobs x 5000 samples (20k rows) in
+views of 64 and 48 columns plus labels (noise 2.0, seed 0), each the median
+of five calls into a temporary directory.  Only wall time is recorded:
+tracemalloc cannot see the worker processes these calls may fork.
+
 The results go under runs[<label>] of --out (default BENCH_layers.json at the
 repository root), next to the labels already there, with a machine record:
 Python, numpy, the BLAS build and the BLAS thread variables, which default to
@@ -38,6 +44,7 @@ import os
 import platform
 import statistics
 import sys
+import tempfile
 import time
 import tracemalloc
 
@@ -53,6 +60,7 @@ CHECK_SIZES = (75, 600)
 DIMS, CLASSES, D = [40, 32, 24], 5, 8
 KNN_TRAIN = 80
 FIT_WIDE = dict(classes=4, per_class=150, iters=2, seed=1)
+CSV = dict(classes=4, per_class=5000, dims=[64, 48], noise=2.0, seed=0)
 C6_HYPER = dict(gamma=0.01, tol=1e-9, alpha=1e-3, beta=1e-3, tau1=0.3, tau2=0.3)
 
 
@@ -174,6 +182,18 @@ def measure_fit_wide(mv):
             "peak_bytes": peak, "peak_n2": peak / (8.0 * ds.n * ds.n)}
 
 
+def measure_csv(mv):
+    """Wall times of save_views and load_views on eval-csv's files."""
+    ds = mv.synth_blobs(len(CSV["dims"]), CSV["classes"], CSV["per_class"],
+                        CSV["dims"], CSV["noise"], CSV["seed"])
+    with tempfile.TemporaryDirectory() as tmp:
+        times = {"save_views": timed(lambda: mv.save_views(ds, tmp))}
+        paths, label_path = mv.save_views(ds, tmp)
+        times["load_views"] = timed(lambda: mv.load_views(paths, label_path))
+    return {"rows": ds.n, **{name: {"median_ms": statistics.median(t), "times_ms": t}
+                             for name, t in times.items()}}
+
+
 def main(argv=None):
     args = parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
@@ -188,6 +208,9 @@ def main(argv=None):
     run["fit_wide"] = rec = measure_fit_wide(mv)
     print(f"fit-wide n={rec['n']} {rec['median_ms']:10.2f} ms "
           f"peak {rec['peak_bytes'] / 1e6:7.2f} MB {rec['peak_n2']:7.2f} n^2*8B")
+    run["csv"] = rec = measure_csv(mv)
+    for name in ("save_views", "load_views"):
+        print(f"csv {rec['rows']} rows {name:12s} {rec[name]['median_ms']:10.2f} ms")
     results = {}
     if os.path.exists(args.out):
         with open(args.out, encoding="utf-8") as fh:
@@ -198,6 +221,7 @@ def main(argv=None):
     results["setup"].setdefault("knn_train", KNN_TRAIN)
     results["setup"].setdefault("fit_wide", FIT_WIDE)
     results["setup"].setdefault("check_sizes", list(CHECK_SIZES))
+    results["setup"].setdefault("csv", CSV)
     results.setdefault("runs", {})[args.label] = run
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(results, fh, indent=1)

@@ -1,9 +1,18 @@
+import contextlib
+import json
+import multiprocessing
+import os
+import pathlib
+import signal
+
 import numpy as np
 import pytest
 
 import mvcontrast as mv
+from mvcontrast import data
+from mvcontrast.cli import main
 from mvcontrast.data import view_offsets
-from mvcontrast.errors import ConfigError, DataError
+from mvcontrast.errors import ConfigError, DataError, MvError
 
 
 def write_csv(path, rows):
@@ -62,6 +71,190 @@ class TestLoadViews:
         for v0, v1 in zip(ds.views, back.views):
             assert np.array_equal(v0, v1)
         assert np.array_equal(ds.labels, back.labels)
+
+
+def savetxt_bytes(path, matrix):
+    np.savetxt(path, matrix, fmt="%.17g", delimiter=",")
+    return path.read_bytes()
+
+
+class TestWriteMatrix:
+    """write_matrix writes the bytes np.savetxt(fmt="%.17g") writes."""
+
+    CASES = {
+        "extremes": np.array([[-0.0, 5e-324, 1.797e308], [-1.797e308, 1 / 3, 0.0]]),
+        "int labels": np.array([3, 0, -2, 2 ** 60 + 1, 7])[:, None],
+        "1-D": np.array([0.1, -2.5, 1e-300, 4.0]),
+        "transposed view": np.random.default_rng(1).normal(size=(3, 11)).T,
+        "one row": np.array([[1.5, -7.25e10]]),
+    }
+
+    @pytest.mark.parametrize("matrix", CASES.values(), ids=CASES.keys())
+    def test_bytes_equal_savetxt(self, tmp_path, matrix):
+        data.write_matrix(tmp_path / "got.csv", matrix)
+        assert (tmp_path / "got.csv").read_bytes() == \
+            savetxt_bytes(tmp_path / "want.csv", matrix)
+
+    @pytest.mark.parametrize("block_values", [1, 2, 7, 30])
+    def test_rows_not_a_multiple_of_the_block(self, tmp_path, monkeypatch,
+                                              block_values):
+        # 3 columns: blocks of 1, 1, 2 and 10 rows over 11 rows
+        monkeypatch.setattr(data, "_WRITE_BLOCK_VALUES", block_values)
+        matrix = self.CASES["transposed view"]
+        data.write_matrix(tmp_path / "got.csv", matrix)
+        assert (tmp_path / "got.csv").read_bytes() == \
+            savetxt_bytes(tmp_path / "want.csv", matrix)
+        assert np.array_equal(data.read_matrix(tmp_path / "got.csv"), matrix)
+
+
+def pid_logging(fn, log):
+    """fn, appending the pid of each process that calls it to `log`."""
+    def logged(*args):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return fn(*args)
+    return logged
+
+
+def callers(log):
+    return set(log.read_text().split()) if log.exists() else set()
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Fail the test with TimeoutError instead of hanging past `seconds`."""
+    def expire(*_):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture(params=[2, 4], ids=["1-worker", "3-workers"])
+def forked(request, monkeypatch):
+    """Force the worker path: no byte floor, and 2 or 4 usable cores."""
+    if not hasattr(os, "fork"):
+        pytest.skip("needs os.fork")
+    monkeypatch.setattr(data, "_FORK_MIN_BYTES", 0)
+    monkeypatch.setattr(data, "_usable_cores", lambda: request.param)
+    with deadline(60):
+        yield
+    assert multiprocessing.active_children() == []
+
+
+def views_config(tmp_path, paths):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"dataset": {"views": [str(p) for p in paths]}}))
+    return str(path)
+
+
+class TestPerFileWorkers:
+    """load_views and save_views through forked workers: the same arrays,
+    bytes, errors and exit codes as one file after another."""
+
+    DS = dict(V=3, classes=3, per_class=7, dims=[5, 4, 3], noise_sigma=0.7, seed=2)
+
+    def test_identical_to_serial(self, tmp_path, monkeypatch, forked):
+        ds = mv.synth_blobs(**self.DS)
+        serial = mv.save_views(ds, tmp_path / "serial")
+        for name in ("read_matrix", "write_matrix"):
+            monkeypatch.setattr(data, name, pid_logging(getattr(data, name),
+                                                         tmp_path / f"{name}.pids"))
+        paths, label_path = mv.save_views(ds, tmp_path / "forked")
+        assert multiprocessing.active_children() == []
+        for a, b in zip([*serial[0], serial[1]], [*paths, label_path]):
+            assert pathlib.Path(a).read_bytes() == pathlib.Path(b).read_bytes()
+        back = mv.load_views(paths, label_path)
+        assert multiprocessing.active_children() == []
+        for name in ("read_matrix", "write_matrix"):
+            assert len(callers(tmp_path / f"{name}.pids")) > 1  # workers ran
+        want = mv.load_views(*serial)
+        for got, ref in zip([*back.views, back.labels], [*want.views, want.labels]):
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
+        assert back.view_names == want.view_names
+
+    def ragged_pair(self, tmp_path, second):
+        """Two 6-row views, the first wider; `second` replaces row 3 of the other."""
+        write_csv(tmp_path / "a.csv", np.ones((6, 4)).tolist())
+        rows = [",".join(["2.5"] * 2)] * 6
+        rows[3] = second
+        (tmp_path / "b.csv").write_text("\n".join(rows) + "\n")
+        return [tmp_path / "a.csv", tmp_path / "b.csv"]
+
+    def test_ragged_second_view(self, tmp_path, capsys, forked, monkeypatch):
+        paths = self.ragged_pair(tmp_path, "1,2,3")
+        cfg = views_config(tmp_path, paths)
+        with pytest.raises(DataError) as in_worker:
+            mv.load_views(paths)
+        assert multiprocessing.active_children() == []
+        assert main(["eval", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+        worker_err = capsys.readouterr().err
+        monkeypatch.setattr(data, "_FORK_MIN_BYTES", 1 << 40)
+        with pytest.raises(DataError) as serial:
+            mv.load_views(paths)
+        assert str(in_worker.value) == str(serial.value)
+        assert "b.csv" in str(serial.value)
+        assert main(["eval", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+        assert worker_err == capsys.readouterr().err
+
+    def test_first_bad_view_named(self, tmp_path, forked):
+        # the smaller, first file is the one a worker reads
+        write_csv(tmp_path / "a.csv", [[1.0, 2.0], [3.0]])
+        (tmp_path / "b.csv").write_text("1,2,3,4\n5,6,7,cat\n")
+        with pytest.raises(DataError, match="a.csv"):
+            mv.load_views([tmp_path / "a.csv", tmp_path / "b.csv"])
+        assert multiprocessing.active_children() == []
+
+    def test_unwritable_target_in_worker(self, tmp_path, capsys, forked):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"dataset": {"synth": {
+            "classes": 2, "per_class": 4, "dims": [5, 3]}}}))
+        out = tmp_path / "out"
+        (out / "view1.csv").mkdir(parents=True)  # a worker writes view1.csv
+        assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "error: ConfigError: cannot write output" in err
+        assert "view1.csv" in err
+        assert multiprocessing.active_children() == []
+
+    def test_worker_dying_without_result(self, tmp_path, monkeypatch, forked):
+        paths = self.ragged_pair(tmp_path, "1,2")
+        here, read = os.getpid(), data.read_matrix
+
+        def die_in_worker(path):
+            if os.getpid() != here:
+                os._exit(1)
+            return read(path)
+
+        monkeypatch.setattr(data, "read_matrix", die_in_worker)
+        with pytest.raises(MvError, match="b.csv.*exited with code 1"):
+            mv.load_views(paths)
+        assert multiprocessing.active_children() == []
+
+    def test_failed_fork_reads_here(self, tmp_path, monkeypatch, forked):
+        paths = self.ragged_pair(tmp_path, "1,2")
+
+        def no_fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        want = np.full((6, 2), 2.5)
+        want[3] = [1, 2]
+        assert np.array_equal(mv.load_views(paths).views[1], want.T)
+
+    def test_small_files_stay_in_process(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(data, "_usable_cores", lambda: 4)
+        log = tmp_path / "pids"
+        monkeypatch.setattr(data, "write_matrix", pid_logging(data.write_matrix, log))
+        monkeypatch.setattr(data, "read_matrix", pid_logging(data.read_matrix, log))
+        paths, label_path = mv.save_views(mv.synth_blobs(**self.DS), tmp_path)
+        mv.load_views(paths, label_path)
+        assert callers(log) == {str(os.getpid())}
 
 
 class TestViewOffsets:
