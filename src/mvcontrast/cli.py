@@ -19,11 +19,11 @@ import numpy as np
 
 from . import data, diagnostics, evaluation, gradients, losses, trainer
 from .config import parse_config
-from .errors import ConfigError, MvError, NumericError
+from .errors import ConfigError, MvError, numeric_errors
 
 
-def _write_loss_history(history, out_dir):
-    path = os.path.join(out_dir, "loss_history.csv")
+def _write_loss_history(history, out):
+    path = os.path.join(out, "loss_history.csv")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("iteration,total_loss\n")
         for i, value in enumerate(history):
@@ -34,14 +34,14 @@ def _write_loss_history(history, out_dir):
 def _config_and_output_dir(args):
     """Parse --config; create the output directory before any work is done."""
     cfg = parse_config(args.config)
-    out_dir = args.out or cfg.out_dir
-    os.makedirs(out_dir, exist_ok=True)
-    return cfg, out_dir
+    out = args.out or cfg.output["dir"]
+    os.makedirs(out, exist_ok=True)
+    return cfg, out
 
 
 def cmd_synth(args):
     cfg = parse_config(args.config)
-    if cfg.synth is None:
+    if cfg.dataset["synth"] is None:
         raise MvError("synth subcommand needs a dataset.synth section")
     ds = cfg.load_dataset()
     data.save_views(ds, args.out)
@@ -51,42 +51,44 @@ def cmd_synth(args):
 
 
 def cmd_train(args):
-    cfg, out_dir = _config_and_output_dir(args)
+    cfg, out = _config_and_output_dir(args)
     ds = cfg.load_dataset()
-    model, state = trainer.fit(ds, cfg.hyper, seed=cfg.base_seed)
-    trainer.save_model(model, out_dir, view_names=ds.view_names)
-    _write_loss_history(state.loss_history, out_dir)
-    cfg.write_echo(out_dir)
+    model, state = trainer.fit(ds, cfg.hyper, seed=cfg.experiment["base_seed"])
+    trainer.save_model(model, out, view_names=ds.view_names)
+    _write_loss_history(state.loss_history, out)
+    cfg.write_echo(out)
     print(f"trained {state.iter} iterations, final loss "
-          f"{state.loss_history[-1]:.6f}, model in {out_dir}")
+          f"{state.loss_history[-1]:.6f}, model in {out}")
     return 0
 
 
 def cmd_eval(args):
-    cfg, out_dir = _config_and_output_dir(args)
+    cfg, out = _config_and_output_dir(args)
     ds = cfg.load_dataset()
     fixed_model = trainer.load_model(args.model) if args.model else None
+    exp = cfg.experiment
     # a fixed model ignores d, so each d would repeat the same protocol
-    d_values = cfg.d_sweep if cfg.d_sweep and fixed_model is None else [cfg.hyper.d]
+    d_values = (exp["d_sweep"] if exp["d_sweep"] and fixed_model is None
+                else [cfg.hyper.d])
     best_tables = []
-    for M in cfg.M_values:
+    for M in exp["M"]:
         candidates = []
         for d in d_values:
             candidates.append(evaluation.run_experiment(
-                ds, dataclasses.replace(cfg.hyper, d=d), M=M, repeats=cfg.repeats,
-                base_seed=cfg.base_seed, fixed_model=fixed_model))
+                ds, dataclasses.replace(cfg.hyper, d=d), M=M, repeats=exp["repeats"],
+                base_seed=exp["base_seed"], fixed_model=fixed_model))
         # d sweep keeps the table with the best Mean-row accuracy
         best_tables.append(max(
             candidates,
             key=lambda t: [r["mean"] for r in t.rows if r["row_label"] == "Mean"]))
     table = evaluation.merge_tables(best_tables)
-    if "csv" in cfg.formats:
-        with open(os.path.join(out_dir, "results.csv"), "w", encoding="utf-8") as fh:
+    if "csv" in cfg.output["formats"]:
+        with open(os.path.join(out, "results.csv"), "w", encoding="utf-8") as fh:
             fh.write(table.to_csv())
-    if "txt" in cfg.formats:
-        with open(os.path.join(out_dir, "results.txt"), "w", encoding="utf-8") as fh:
+    if "txt" in cfg.output["formats"]:
+        with open(os.path.join(out, "results.txt"), "w", encoding="utf-8") as fh:
             fh.write(table.to_text())
-    cfg.write_echo(out_dir)
+    cfg.write_echo(out)
     print(table.to_text(), end="")
     return 0
 
@@ -107,7 +109,7 @@ def gradcheck_instance(seed, n=5, V=2, dims=(4, 3), d=2):
 
 def cmd_gradcheck(args):
     cfg = parse_config(args.config)
-    ds, P, W = gradcheck_instance(cfg.base_seed)
+    ds, P, W = gradcheck_instance(cfg.experiment["base_seed"])
     report = gradients.check_gradients(P, W, ds, cfg.hyper, step=args.step)
     ok = report.max_rel_err <= GRADCHECK_TOL
     print(f"max_rel_err={report.max_rel_err:.3e} "
@@ -120,7 +122,7 @@ def cmd_diagnose(args):
     if args.trials < 1:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     cfg = parse_config(args.config)
-    rng = np.random.default_rng([int(cfg.base_seed)])
+    rng = np.random.default_rng([cfg.experiment["base_seed"]])
     rows = []
     for trial in range(args.trials):
         n = int(rng.integers(2, 9))
@@ -187,12 +189,8 @@ def build_parser():
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
-        # an overflow or invalid operation stops the run as a NumericError
-        # instead of warning and carrying inf/NaN into the outputs
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
+        with numeric_errors():
             return args.func(args)
-    except FloatingPointError as exc:
-        error = NumericError(f"floating-point {exc}")
     except OSError as exc:
         # the readers wrap their own OSErrors, so this one came from an output
         error = ConfigError(f"cannot write output: {exc}")

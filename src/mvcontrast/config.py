@@ -1,20 +1,18 @@
 """Run configuration: a single sectioned JSON file with strict validation.
 
-Unknown keys are errors, never silently ignored; every run echoes the fully
-resolved configuration (defaults included) to `run.json` so it can be
+Unknown keys are errors, never silently ignored.  `RunConfig` holds the
+validated sections, defaults filled in and each value normalized under its
+config key; every run echoes those sections to `run.json` so it can be
 reproduced exactly.
 """
 
 import json
-import math
-import numbers
 import os
 from dataclasses import dataclass, fields
-from typing import Optional
 
 from . import data
 from .errors import ConfigError
-from .params import Hyperparams
+from .params import Hyperparams, _integer, _is_number, _require
 
 # exactly one of views and synth is given
 _DATASET_DEFAULTS = {
@@ -53,13 +51,6 @@ _OUTPUT_DEFAULTS = {
 }
 
 
-def _require(ok, name, what, value):
-    """`value`, if `ok`; else a ConfigError saying what `name` must be."""
-    if not ok:
-        raise ConfigError(f"{name} must be {what}, got {value!r}")
-    return value
-
-
 def _merge(section_name, defaults, given):
     _require(isinstance(given, dict), f"section '{section_name}'", "a JSON object",
              given)
@@ -71,19 +62,6 @@ def _merge(section_name, defaults, given):
     return merged
 
 
-def _is_number(value):
-    # JSON true/false are not numbers, though Python's bool is an int
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and abs(value) < math.inf)
-
-
-def _integer(name, value, low):
-    """`value` as an int, if it is an integral number >= low."""
-    _require(_is_number(value) and value == int(value) and value >= low,
-             name, f"an integer >= {low}", value)
-    return int(value)
-
-
 def _integers(name, values, low):
     """A non-empty list of integers >= low, as ints."""
     _require(isinstance(values, list) and values, name, "a non-empty list", values)
@@ -92,41 +70,32 @@ def _integers(name, values, low):
 
 @dataclass
 class RunConfig:
-    view_paths: Optional[list]
-    label_path: Optional[str]
-    synth: Optional[dict]
-    standardize: bool
+    """The validated sections; `hyper` is a Hyperparams, the others are
+    dicts keyed as in the config file."""
+
+    dataset: dict
     hyper: Hyperparams
-    M_values: list
-    repeats: int
-    base_seed: int
-    d_sweep: Optional[list]
-    out_dir: str
-    formats: list
+    experiment: dict
+    output: dict
 
     def load_dataset(self):
-        if self.synth is not None:
-            ds = data.synth_blobs(**self.synth)
+        dataset = self.dataset
+        if dataset["synth"] is not None:
+            ds = data.synth_blobs(**dataset["synth"])
         else:
-            ds = data.load_views(self.view_paths, self.label_path)
-        if self.standardize:
+            ds = data.load_views(dataset["views"], dataset["labels"])
+        if dataset["standardize"]:
             ds = data.standardize(ds)
         return ds
 
-    def write_echo(self, out_dir):
+    def write_echo(self, directory):
         """Write the resolved configuration, defaults included, to run.json."""
         hyper = self.hyper.as_dict()
         hyper["lambda"] = hyper.pop("lam")
-        resolved = {
-            "dataset": {"views": self.view_paths, "labels": self.label_path,
-                        "synth": self.synth, "standardize": self.standardize},
-            "hyper": hyper,
-            "experiment": {"M": self.M_values, "repeats": self.repeats,
-                           "base_seed": self.base_seed, "d_sweep": self.d_sweep},
-            "output": {"dir": self.out_dir, "formats": self.formats},
-        }
-        os.makedirs(out_dir, exist_ok=True)
-        path = os.path.join(out_dir, "run.json")
+        resolved = {"dataset": self.dataset, "hyper": hyper,
+                    "experiment": self.experiment, "output": self.output}
+        os.makedirs(directory, exist_ok=True)
+        path = os.path.join(directory, "run.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(resolved, fh, indent=2, sort_keys=True)
         return path
@@ -155,55 +124,46 @@ def build_config(raw):
             raise ConfigError(f"unknown section '{key}'")
 
     dataset = _merge("dataset", _DATASET_DEFAULTS, raw.get("dataset", {}))
-    views, label_path = dataset["views"], dataset["labels"]
+    views, labels = dataset["views"], dataset["labels"]
     if (views is None) == (dataset["synth"] is None):
         raise ConfigError(
             "dataset section must contain exactly one of 'views' or 'synth'")
-    _require(label_path is None or isinstance(label_path, str), "dataset.labels",
-             "a file path", label_path)
+    _require(labels is None or isinstance(labels, str), "dataset.labels",
+             "a file path", labels)
     _require(isinstance(dataset["standardize"], bool), "dataset.standardize",
              "true or false", dataset["standardize"])
-    synth = view_paths = None
     if views is None:
-        if label_path is not None:
+        if labels is not None:
             raise ConfigError("dataset.labels cannot be given with dataset.synth")
-        synth = _synth(dataset["synth"])
+        dataset["synth"] = _synth(dataset["synth"])
     else:
-        _require(isinstance(views, list) and views, "dataset.views",
-                 "a non-empty list of file paths", views)
-        view_paths = [_require(isinstance(p, str), "dataset.views", "file paths", p)
-                      for p in views]
+        # one view has no other view to contrast with, as synth.V = 1
+        _require(isinstance(views, list) and len(views) >= 2, "dataset.views",
+                 "a list of at least 2 file paths", views)
+        dataset["views"] = [_require(isinstance(p, str), "dataset.views",
+                                     "file paths", p) for p in views]
 
-    hyper_kwargs = _merge("hyper", _HYPER_DEFAULTS, raw.get("hyper", {}))
-    hyper_kwargs["lam"] = hyper_kwargs.pop("lambda")
+    hyper = _merge("hyper", _HYPER_DEFAULTS, raw.get("hyper", {}))
+    hyper["lam"] = hyper.pop("lambda")
 
-    experiment = _merge("experiment", _EXPERIMENT_DEFAULTS, raw.get("experiment", {}))
-    M_values = experiment["M"]
-    if not isinstance(M_values, list):
-        M_values = [M_values]  # a single M
-    d_sweep = experiment["d_sweep"]
-    if d_sweep not in (None, []):  # an empty sweep evaluates hyper.d alone
-        d_sweep = _integers("experiment.d_sweep", d_sweep, 1)
+    exp = _merge("experiment", _EXPERIMENT_DEFAULTS, raw.get("experiment", {}))
+    M = exp["M"]  # a single M is a list of one
+    exp["M"] = _integers("experiment.M", M if isinstance(M, list) else [M], 1)
+    for key, low in (("repeats", 1), ("base_seed", 0)):
+        exp[key] = _integer(f"experiment.{key}", exp[key], low)
+    if exp["d_sweep"] not in (None, []):  # an empty sweep evaluates hyper.d alone
+        exp["d_sweep"] = _integers("experiment.d_sweep", exp["d_sweep"], 1)
 
     output = _merge("output", _OUTPUT_DEFAULTS, raw.get("output", {}))
+    _require(isinstance(output["dir"], str), "output.dir", "a directory path",
+             output["dir"])
     known, formats = _OUTPUT_DEFAULTS["formats"], output["formats"]
     _require(isinstance(formats, list) and all(f in known for f in formats),
              "output.formats", f"a list drawn from {known}", formats)
+    output["formats"] = list(formats)
 
-    return RunConfig(
-        view_paths=view_paths,
-        label_path=label_path,
-        synth=synth,
-        standardize=dataset["standardize"],
-        hyper=Hyperparams(**hyper_kwargs),
-        M_values=_integers("experiment.M", M_values, 1),
-        repeats=_integer("experiment.repeats", experiment["repeats"], 1),
-        base_seed=_integer("experiment.base_seed", experiment["base_seed"], 0),
-        d_sweep=d_sweep,
-        out_dir=_require(isinstance(output["dir"], str), "output.dir",
-                         "a directory path", output["dir"]),
-        formats=list(formats),
-    )
+    return RunConfig(dataset=dataset, hyper=Hyperparams(**hyper),
+                     experiment=exp, output=output)
 
 
 def parse_config(path):

@@ -256,50 +256,50 @@ def _file_bytes(path):
         return 0
 
 
-def load_views(view_paths, label_path=None):
+def load_views(view_files, label_file=None):
     """Read sample-major CSV views (and optional labels) into a dataset."""
-    paths = list(view_paths) if label_path is None else [*view_paths, label_path]
+    paths = list(view_files) if label_file is None else [*view_files, label_file]
     outcomes = _per_file(read_matrix, [(p,) for p in paths],
                          [_file_bytes(p) for p in paths])
-    matrices = [_value(o) for o in outcomes[:len(view_paths)]]
+    matrices = [_value(o) for o in outcomes[:len(view_files)]]
     n_rows = {m.shape[0] for m in matrices}
     if len(n_rows) > 1:
-        counts = ", ".join(f"{p}: {m.shape[0]}" for p, m in zip(view_paths, matrices))
+        counts = ", ".join(f"{p}: {m.shape[0]}" for p, m in zip(view_files, matrices))
         raise DataError(f"view files disagree on sample count ({counts})")
     if matrices[0].shape[0] < 2:
         raise DataError(f"need at least 2 samples, got {matrices[0].shape[0]}")
     labels = None
-    if label_path is not None:
+    if label_file is not None:
         raw = _value(outcomes[-1])
         if raw.shape[1] != 1:
-            raise DataError(f"{label_path}: expected one integer per line")
+            raise DataError(f"{label_file}: expected one integer per line")
         # beyond 2**53 a double no longer tells neighbouring integers apart
         if not np.all((np.abs(raw) < 2.0 ** 53) & (raw == np.round(raw))):
             raise DataError(
-                f"{label_path}: labels must be integers of magnitude below 2**53")
+                f"{label_file}: labels must be integers of magnitude below 2**53")
         labels = raw[:, 0].astype(int)
         if labels.shape[0] != matrices[0].shape[0]:
             raise DataError(
-                f"{label_path}: {labels.shape[0]} labels for {matrices[0].shape[0]} samples")
-    names = [os.path.splitext(os.path.basename(p))[0] for p in view_paths]
+                f"{label_file}: {labels.shape[0]} labels for {matrices[0].shape[0]} samples")
+    names = [os.path.splitext(os.path.basename(p))[0] for p in view_files]
     return MultiViewDataset(views=[m.T for m in matrices], labels=labels,
                             view_names=names)
 
 
-def save_views(ds, out_dir):
+def save_views(ds, directory):
     """Write the dataset back to sample-major CSV files; returns the paths."""
-    os.makedirs(out_dir, exist_ok=True)
-    jobs = [(os.path.join(out_dir, f"{name}.csv"), view.T)
+    os.makedirs(directory, exist_ok=True)
+    jobs = [(os.path.join(directory, f"{name}.csv"), view.T)
             for name, view in zip(ds.view_names, ds.views)]
-    label_path = None
+    label_file = None
     if ds.labels is not None:
-        label_path = os.path.join(out_dir, "labels.csv")
-        jobs.append((label_path, ds.labels[:, None]))
+        label_file = os.path.join(directory, "labels.csv")
+        jobs.append((label_file, ds.labels[:, None]))
     outcomes = _per_file(write_matrix, jobs,
                          [_CSV_BYTES_PER_VALUE * m.size for _, m in jobs])
     for outcome in outcomes:
         _value(outcome)
-    return [path for path, _ in jobs[:ds.V]], label_path
+    return [path for path, _ in jobs[:ds.V]], label_file
 
 
 def view_offsets(view_dims):

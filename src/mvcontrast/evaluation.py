@@ -13,7 +13,7 @@ import numpy as np
 
 from . import losses, trainer
 from .data import SplitSpec, split
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, numeric_errors
 
 
 def project(model, ds):
@@ -27,11 +27,8 @@ def project(model, ds):
             raise DataError(
                 f"view {m}: model expects dimension {Pm.shape[0]}, "
                 f"data has {ds.view_dims[m]}")
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                Ym = Pm.T @ ds.views[m]
-        except FloatingPointError as exc:
-            raise NumericError(f"floating-point {exc} projecting view {m}") from exc
+        with numeric_errors(f"projecting view {m}"):
+            Ym = Pm.T @ ds.views[m]
         if not np.isfinite(Ym).all():
             raise NumericError(f"non-finite embedding of view {m}")
         out.append(Ym)
@@ -67,15 +64,12 @@ def knn_accuracy(train_emb, train_labels, test_emb, test_labels):
             f"embedding dims differ: train {train_emb.shape[0]}, "
             f"test {test_emb.shape[0]}")
     nearest = np.empty(test_emb.shape[1], dtype=np.intp)
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            for start, d2 in _distance_blocks(train_emb, test_emb):
-                if not np.isfinite(d2).all():
-                    raise NumericError("non-finite 1-NN distances")
-                # argmin takes the first (smallest-index) minimizer
-                nearest[start:start + len(d2)] = np.argmin(d2, axis=1)
-    except FloatingPointError as exc:
-        raise NumericError(f"floating-point {exc} in 1-NN distances") from exc
+    with numeric_errors("in 1-NN distances"):
+        for start, d2 in _distance_blocks(train_emb, test_emb):
+            if not np.isfinite(d2).all():
+                raise NumericError("non-finite 1-NN distances")
+            # argmin takes the first (smallest-index) minimizer
+            nearest[start:start + len(d2)] = np.argmin(d2, axis=1)
     predicted = train_labels[nearest]
     return float(np.mean(predicted == test_labels))
 

@@ -7,6 +7,26 @@ from dataclasses import dataclass, fields
 from .errors import ConfigError
 
 
+def _require(ok, name, what, value):
+    """`value`, if `ok`; else a ConfigError saying what `name` must be."""
+    if not ok:
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
+    return value
+
+
+def _is_number(value):
+    # JSON true/false are not numbers, though Python's bool is an int
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and abs(value) < math.inf)
+
+
+def _integer(name, value, low):
+    """`value` as an int, if it is an integral number >= low."""
+    _require(_is_number(value) and value == int(value) and value >= low,
+             name, f"an integer >= {low}", value)
+    return int(value)
+
+
 @dataclass
 class Hyperparams:
     """All scalars the objective and the Adam optimizer need.
@@ -48,12 +68,9 @@ class Hyperparams:
 
     def __post_init__(self):
         for name, value in self.as_dict().items():
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
-                    abs(value) < math.inf or (name == "tol" and value == math.inf)):
-                raise ConfigError(f"{name} must be a finite number, got {value!r}")
-        if int(self.d) != self.d or self.d < 1:
-            raise ConfigError(f"d must be a positive integer, got {self.d}")
-        self.d = int(self.d)
+            _require(_is_number(value) or (name == "tol" and value == math.inf),
+                     name, "a finite number", value)
+        self.d = _integer("d", self.d, 1)
         for name in ("lam", "alpha", "beta", "tau1", "tau2", "gamma",
                      "eps_adam", "norm_eps", "tol"):
             value = getattr(self, name)
@@ -63,9 +80,7 @@ class Hyperparams:
             value = getattr(self, name)
             if not 0 < value < 1:
                 raise ConfigError(f"{name} must lie in (0, 1), got {value}")
-        if int(self.max_iters) != self.max_iters or self.max_iters < 0:
-            raise ConfigError(f"max_iters must be a nonnegative integer, got {self.max_iters}")
-        self.max_iters = int(self.max_iters)
+        self.max_iters = _integer("max_iters", self.max_iters, 0)
 
     def validate_dims(self, view_dims):
         if self.d > min(view_dims):

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import gradients, losses
 from .data import read_matrix, write_matrix
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, numeric_errors
 from .params import Hyperparams
 
 
@@ -116,22 +116,29 @@ def sweep_W(state, ds, h):
 
 
 def fit(ds, h, seed):
-    """Run the alternating scheme to convergence; returns (Model, TrainState)."""
+    """Run the alternating scheme to convergence; returns (Model, TrainState).
+
+    An overflow or invalid operation raises NumericError naming the
+    iteration, 0 for the initial loss, rather than letting inf stall the
+    steps into a false convergence.
+    """
     t0 = time.perf_counter()
-    state = init_state(ds, h, seed)
     converged = False
-    while state.iter < h.max_iters:
-        sweep_W(state, ds, h)
-        g = gradients.grad_P(state.P, state.W, ds, h)
-        new_P, state.adam_P = adam_step(state.P.P, g, state.adam_P, h)
-        state.last_max_step = max(state.last_max_step,
-                                  float(np.max(np.abs(new_P - state.P.P))))
-        state.P = losses.ProjectionStack(P=new_P, view_dims=ds.view_dims)
-        state.iter += 1
-        state.loss_history.append(losses.total_loss(state.P, state.W, ds, h))
-        if abs(state.loss_history[-2] - state.loss_history[-1]) <= h.tol:
-            converged = True
-            break
+    with numeric_errors("in iteration 0") as guard:
+        state = init_state(ds, h, seed)
+        while state.iter < h.max_iters:
+            guard.where = f"in iteration {state.iter + 1}"
+            sweep_W(state, ds, h)
+            g = gradients.grad_P(state.P, state.W, ds, h)
+            new_P, state.adam_P = adam_step(state.P.P, g, state.adam_P, h)
+            state.last_max_step = max(state.last_max_step,
+                                      float(np.max(np.abs(new_P - state.P.P))))
+            state.P = losses.ProjectionStack(P=new_P, view_dims=ds.view_dims)
+            state.iter += 1
+            state.loss_history.append(losses.total_loss(state.P, state.W, ds, h))
+            if abs(state.loss_history[-2] - state.loss_history[-1]) <= h.tol:
+                converged = True
+                break
     model = Model(
         projections=[state.P.block(m).copy() for m in range(ds.V)],
         hyper=h,
@@ -145,14 +152,14 @@ def fit(ds, h, seed):
     return model, state
 
 
-def save_model(model, out_dir, view_names=None):
+def save_model(model, directory, view_names=None):
     """Write the model as a JSON manifest plus one CSV per view projection."""
-    os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(directory, exist_ok=True)
     view_names = view_names or [f"view{m}" for m in range(len(model.projections))]
     files = []
     for name, Pm in zip(view_names, model.projections):
         fname = f"projection_{name}.csv"
-        write_matrix(os.path.join(out_dir, fname), Pm)
+        write_matrix(os.path.join(directory, fname), Pm)
         files.append(fname)
     manifest = {
         "projection_files": files,
@@ -162,7 +169,7 @@ def save_model(model, out_dir, view_names=None):
         "hyperparams": model.hyper.as_dict(),
         "meta": model.meta,
     }
-    path = os.path.join(out_dir, "manifest.json")
+    path = os.path.join(directory, "manifest.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
     return path

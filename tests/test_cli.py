@@ -50,10 +50,10 @@ class TestBuildConfig:
         assert cfg.hyper.d == 2
         assert cfg.hyper.lam == 1.0
         assert cfg.hyper.max_iters == 500
-        assert cfg.M_values == [4]
-        assert cfg.repeats == 5
-        assert cfg.out_dir == "."
-        assert cfg.formats == ["csv", "txt"]
+        assert cfg.experiment["M"] == [4]
+        assert cfg.experiment["repeats"] == 5
+        assert cfg.output["dir"] == "."
+        assert cfg.output["formats"] == ["csv", "txt"]
 
     def test_lambda_key_maps_to_lam(self):
         cfg = build_config({"dataset": {"synth": {}}, "hyper": {"lambda": 2.5}})
@@ -61,7 +61,7 @@ class TestBuildConfig:
 
     def test_scalar_M_promoted_to_list(self):
         cfg = build_config({"dataset": {"synth": {}}, "experiment": {"M": 6}})
-        assert cfg.M_values == [6]
+        assert cfg.experiment["M"] == [6]
 
     def test_unknown_section(self):
         with pytest.raises(ConfigError, match="unknown section 'extra'"):
@@ -279,8 +279,8 @@ class TestGradcheckDiagnose:
         assert "error: ConfigError" in capsys.readouterr().err
 
     def test_missing_view_file_exit_2(self, tmp_path, capsys):
-        cfg = write_config(tmp_path / "c.json", {
-            "dataset": {"views": [str(tmp_path / "nope.csv")]}})
+        views = [str(tmp_path / "nope.csv"), str(tmp_path / "nope2.csv")]
+        cfg = write_config(tmp_path / "c.json", {"dataset": {"views": views}})
         assert main(["train", "--config", cfg, "--out", str(tmp_path / "m")]) == 2
         assert "error: DataError" in capsys.readouterr().err
 
@@ -433,6 +433,7 @@ BAD_CONFIGS = {
     "fractional synth per_class": {"dataset": {"synth": {"per_class": 2.5}}},
     "synth noise_sigma as a string": {"dataset": {"synth": {"noise_sigma": "a"}}},
     "synth with one view": {"dataset": {"synth": {"V": 1, "dims": [8]}}},
+    "views with one path": {"dataset": {"views": ["a.csv"]}},
 }
 
 

@@ -1,12 +1,14 @@
-"""Fuzz the config parser, the matrix-file and model readers and the
-numeric CLI flags.
+"""Fuzz the config parser, the matrix-file and model readers, the numeric
+CLI flags and `fit` on extreme hyperparameters.
 
 Whatever a config holds, `build_config` either accepts it or raises
-ConfigError.  Whatever a view, label or projection file holds, and whatever
+ConfigError, and an accepted config's echo reloads as the same echo.
+Whatever a view, label or projection file holds, and whatever
 `gradcheck --step` or `diagnose --trials` is given, the CLI must end with one
 of its exit codes; any other exception escaping `cli.main` fails the test,
 and so does a numpy RuntimeWarning (a bad value that got past the readers),
-which the pytest configuration turns into an error.
+which the pytest configuration turns into an error.  A fit either raises
+NumericError or returns a finite state whose convergence is real.
 """
 
 import contextlib
@@ -16,12 +18,13 @@ import os
 import pathlib
 import tempfile
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mvcontrast as mv
 from mvcontrast.cli import main
-from mvcontrast.config import build_config
+from mvcontrast.config import build_config, parse_config
 from mvcontrast.errors import ConfigError
 from test_cli import write_file_dataset
 
@@ -109,10 +112,16 @@ def test_build_config_raises_only_config_error(raw):
         cfg = build_config(raw)
     except ConfigError:
         return
-    for values in (cfg.M_values, cfg.d_sweep or [], (cfg.synth or {}).get("dims", [])):
+    exp = cfg.experiment
+    for values in (exp["M"], exp["d_sweep"] or [],
+                   (cfg.dataset["synth"] or {}).get("dims", [])):
         assert all(type(v) is int and v >= 1 for v in values)
-    assert type(cfg.repeats) is int and cfg.repeats >= 1
-    assert type(cfg.base_seed) is int and cfg.base_seed >= 0
+    assert type(exp["repeats"]) is int and exp["repeats"] >= 1
+    assert type(exp["base_seed"]) is int and exp["base_seed"] >= 0
+    with tempfile.TemporaryDirectory() as root:
+        echo = cfg.write_echo(os.path.join(root, "a"))
+        again = parse_config(echo).write_echo(os.path.join(root, "b"))
+        assert pathlib.Path(echo).read_bytes() == pathlib.Path(again).read_bytes()
 
 
 def run_cli(*argv):
@@ -153,3 +162,30 @@ def test_diagnose_trials_exits_cleanly(trials):
     code, err = run_cli("diagnose", "--trials", trials)
     assert code in {0, 1, 3}
     assert "Traceback" not in err
+
+
+# a magnitude of 10**u, u in [0, 300]; tiny ones are left out, since a step
+# that underflows to 0 is a real stall
+HUGE = st.floats(0, 300).map(lambda u: 10.0 ** u)
+
+
+@settings(max_examples=100, deadline=None)
+@given(V=st.integers(2, 3), n=st.integers(2, 9), data=st.data())
+def test_fit_raises_or_converges_for_real(V, n, data):
+    dims = data.draw(st.lists(st.integers(2, 4), min_size=V, max_size=V), label="dims")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    views = [rng.normal(size=(dim, n)) for dim in dims]
+    views[data.draw(st.integers(0, V - 1), label="scaled view")] *= data.draw(
+        HUGE, label="scale")
+    extreme = data.draw(st.fixed_dictionaries({}, optional={
+        name: HUGE for name in ("alpha", "beta", "gamma", "lam")}), label="hyper")
+    h = mv.Hyperparams(d=data.draw(st.integers(1, min(dims)), label="d"),
+                       max_iters=data.draw(st.integers(1, 20), label="max_iters"),
+                       **extreme)
+    try:
+        model, state = mv.fit(mv.MultiViewDataset(views=views), h, seed=0)
+    except mv.NumericError:
+        return
+    assert np.isfinite(state.P.P).all()
+    assert all(np.isfinite(Wm).all() for Wm in state.W.W)
+    assert not model.meta["converged"] or state.last_max_step > 0

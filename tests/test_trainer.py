@@ -256,6 +256,32 @@ class TestFit:
             state.P = mv.ProjectionStack(P=newP, view_dims=ds.view_dims)
 
 
+def scaled_view0(scale):
+    ds = mv.synth_blobs(2, 2, 4, [3, 3], 0.5, 0)
+    return mv.MultiViewDataset(views=[ds.views[0] * scale, ds.views[1]],
+                               labels=ds.labels)
+
+
+class TestFitOverflow:
+    """An overflow makes Adam's m2 infinite and every step 0, so the loss
+    stops changing and would meet `tol` as a false convergence."""
+
+    @pytest.mark.parametrize("kw,scale", [
+        (dict(alpha=1e200), 1.0),
+        (dict(beta=1e300), 1.0),
+        (dict(gamma=1e300), 1.0),
+        ({}, 1e150),
+        (dict(tau1=1e-8, tau2=1e-8), 1.0),
+    ], ids=["alpha", "beta", "gamma", "view-scale", "temperatures"])
+    def test_raises_numeric_error(self, kw, scale):
+        with pytest.raises(mv.NumericError, match="in iteration 1$"):
+            mv.fit(scaled_view0(scale), hyper(max_iters=30, **kw), seed=0)
+
+    def test_initial_loss_is_iteration_0(self):
+        with pytest.raises(mv.NumericError, match="overflow .* in iteration 0$"):
+            mv.fit(scaled_view0(1e200), hyper(max_iters=30), seed=0)
+
+
 class TestModelPersistence:
     def test_roundtrip_bit_identical_embeddings(self, tmp_path):
         ds = mv.synth_blobs(2, 2, 4, [4, 3], 0.5, 0)
