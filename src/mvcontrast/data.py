@@ -3,9 +3,9 @@
 On disk a view is CSV with one row per sample; in memory every view is kept
 feature-major (D_m x n) so each sample is a column vector.  `read_matrix`
 and `write_matrix` are the only code that knows the on-disk matrix format.
-`load_views` and `save_views` hand their files to `_per_file`, which reads or
-writes large files concurrently, one per forked worker process, with the same
-results and errors as one file after another.
+`load_views` and `save_views` hand their files to `_per_file`, which deals
+large files by size to this process and one forked child per further usable
+core, with the same results and errors as one file after another.
 """
 
 import itertools
@@ -60,6 +60,10 @@ class MultiViewDataset:
             self.view_names = [f"view{m}" for m in range(len(self.views))]
         elif len(self.view_names) != len(self.views):
             raise DataError("view_names length does not match view count")
+        elif len(set(self.view_names)) != len(self.view_names):
+            # a name keys each view's file: projection_<name>.csv, <name>.csv
+            raise DataError("view names must be distinct (a view file's name "
+                            f"is its stem), got {self.view_names}")
 
     @property
     def V(self):
@@ -143,98 +147,59 @@ def _attempt(fn, job):
         return False, exc
 
 
-def _worker(fn, job, conn):
-    """Run fn(*job) in a forked child; send its exception, None or array."""
-    ok, value = _attempt(fn, job)
-    if not ok:
-        conn.send(("raise", value))
-    elif value is None:
-        conn.send(("none",))
-    else:
-        value = np.ascontiguousarray(value)
-        conn.send(("array", value.shape, value.dtype.str))
-        conn.send_bytes(value.reshape(-1).view(np.uint8))
-
-
-def _receive(conn, proc, path):
-    """The (ok, value) a child sent for `path`; joins the child."""
-    try:
-        kind, *header = conn.recv()
-        if kind == "array":
-            value = np.empty(*header)
-            # a 1-D byte view: recv_bytes_into sizes a buffer by len() * itemsize
-            conn.recv_bytes_into(value.reshape(-1).view(np.uint8))
-            outcome = True, value
-        else:
-            outcome = (False, header[0]) if kind == "raise" else (True, None)
-    except EOFError:
-        outcome = None
-    finally:
-        conn.close()
-        proc.join()
-    if outcome is None:
-        return False, MvError(f"{path}: worker process exited with code "
-                              f"{proc.exitcode} before sending its result")
-    return outcome
-
-
 def _per_file(fn, jobs, sizes):
     """[(ok, fn(*job) or the exception it raised) for job in jobs], where
     job[0] is the file's path and sizes[k] job k's CSV bytes.
 
-    Every job runs, even after one fails.  With more than one usable core,
-    the largest job and every job under _FORK_MIN_BYTES run here, and each
-    other job runs in a child started by fork, at most (cores - 1) at a time
-    (or here, if no process can be made).  A child gets its inputs by fork
-    and sends an array back as a header and its raw bytes.  Children only
-    parse or format text, never BLAS, so the threads a BLAS pool keeps are
-    safe to fork past.
+    Every job runs, even after one fails.  Jobs of at least _FORK_MIN_BYTES
+    are dealt, largest first, each to whichever of this process and its
+    cores - 1 forked children has the fewest bytes so far; smaller ones run
+    here, as does a share no process can be forked for.  A child gets its
+    share's inputs by fork and sends its outcomes back in one pickle.
+    Children only parse or format text, never BLAS, so the threads a BLAS
+    pool keeps are safe to fork past.
     """
-    order = sorted(range(len(jobs)), key=lambda k: -sizes[k])
-    pending = [k for k in order[1:] if sizes[k] >= _FORK_MIN_BYTES]
-    slots = _usable_cores() - 1
-    if not pending or slots < 1 or not hasattr(os, "fork"):
+    cores = _usable_cores() if hasattr(os, "fork") else 1
+    shares, loads = [[] for _ in range(cores)], [0] * cores
+    for k in sorted(range(len(jobs)), key=lambda k: -sizes[k]):
+        s = loads.index(min(loads)) if sizes[k] >= _FORK_MIN_BYTES else 0
+        shares[s].append(k)
+        loads[s] += sizes[k]
+    if not any(shares[1:]):
         return [_attempt(fn, job) for job in jobs]
     import multiprocessing
-    import multiprocessing.connection
 
     ctx = multiprocessing.get_context("fork")
-    local = [k for k in order if k not in pending]
-    pending.reverse()  # pop() takes the largest
-    outcomes, running = {}, {}  # running: read end -> (job index, process)
-
-    def start():
-        while pending and len(running) < slots:
-            k = pending.pop()
+    outcomes, children = {}, []  # children: (share, process, read end)
+    try:
+        for share in filter(None, shares[1:]):
             recv_end, send_end = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_worker, args=(fn, jobs[k], send_end))
+            proc = ctx.Process(target=lambda conn, share: conn.send(
+                [_attempt(fn, jobs[k]) for k in share]), args=(send_end, share))
             try:
                 proc.start()
-            except OSError:  # no process to be had: do the job here
+            except OSError:  # no process to be had: run the share here
                 recv_end.close()
-                outcomes[k] = _attempt(fn, jobs[k])
+                shares[0].extend(share)
                 continue
             finally:
                 send_end.close()
-            running[recv_end] = k, proc
-
-    def collect(timeout=None):
-        for conn in multiprocessing.connection.wait(list(running), timeout):
-            k, proc = running.pop(conn)
-            outcomes[k] = _receive(conn, proc, jobs[k][0])
-
-    try:
-        start()
-        for k in local:
+            children.append((share, proc, recv_end))
+        for k in shares[0]:
             outcomes[k] = _attempt(fn, jobs[k])
-            collect(timeout=0)
-            start()
-        while running:
-            collect()
-            start()
+        for share, proc, conn in children:
+            try:
+                got = conn.recv()
+            except EOFError:  # the child died before sending
+                proc.join()
+                got = [(False, MvError(f"{jobs[k][0]}: worker process exited "
+                                       f"with code {proc.exitcode} before "
+                                       "sending its result")) for k in share]
+            proc.join()
+            outcomes.update(zip(share, got))
     finally:
-        for conn, (_, proc) in running.items():  # left only by an interrupt
-            proc.terminate()
+        for _, proc, conn in children:
+            proc.terminate()  # a no-op once joined; an interrupt may skip that
             proc.join()
             conn.close()
     return [outcomes[k] for k in range(len(jobs))]

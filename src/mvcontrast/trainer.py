@@ -34,13 +34,15 @@ class AdamState:
 def adam_step(param, grad, st, h):
     """One bias-corrected Adam update; returns (new param, new state)."""
     grad = np.asarray(grad, dtype=float)
-    if not np.isfinite(grad).all():
-        raise NumericError("non-finite gradient passed to adam_step")
     t = st.t + 1
     m1 = h.b1 * st.m1 + (1.0 - h.b1) * grad
     m2 = h.b2 * st.m2 + (1.0 - h.b2) * grad ** 2
     m1_hat = m1 / (1.0 - h.b1 ** t)
     m2_hat = m2 / (1.0 - h.b2 ** t)
+    # NaN or inf in grad, or a grad² that overflows, leaves m2_hat non-finite;
+    # an infinite m2_hat would make every later step 0, a false convergence
+    if not np.isfinite(m2_hat).all():
+        raise NumericError("non-finite gradient or squared gradient in adam_step")
     new_param = param - h.gamma * m1_hat / (np.sqrt(m2_hat) + h.eps_adam)
     return new_param, AdamState(m1=m1, m2=m2, t=t)
 

@@ -284,6 +284,24 @@ class TestGradcheckDiagnose:
         assert main(["train", "--config", cfg, "--out", str(tmp_path / "m")]) == 2
         assert "error: DataError" in capsys.readouterr().err
 
+    def test_view_files_sharing_a_stem_exit_2(self, tmp_path, capsys):
+        # each view's projection is saved as projection_<stem>.csv
+        data_dir = tmp_path / "data"
+        main(["synth", "--config", write_config(tmp_path / "s.json", SYNTH_SMALL),
+              "--out", str(data_dir)])
+        views = []
+        for sub, src in [("a", "view0.csv"), ("b", "view1.csv")]:
+            (tmp_path / sub).mkdir()
+            (tmp_path / sub / "x.csv").write_bytes((data_dir / src).read_bytes())
+            views.append(str(tmp_path / sub / "x.csv"))
+        cfg = write_config(tmp_path / "c.json", dict(SYNTH_SMALL, dataset={
+            "views": views, "labels": str(data_dir / "labels.csv")}))
+        model = tmp_path / "m"
+        assert main(["train", "--config", cfg, "--out", str(model)]) == 2
+        assert "error: DataError: view names must be distinct" in \
+            capsys.readouterr().err
+        assert not (model / "manifest.json").exists()
+
 
 class TestUnwritableOutput:
     """An output path naming a file is a ConfigError (exit 1), not a traceback."""

@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import pathlib
 import signal
+import time
 
 import numpy as np
 import pytest
@@ -246,6 +247,36 @@ class TestPerFileWorkers:
         want = np.full((6, 2), 2.5)
         want[3] = [1, 2]
         assert np.array_equal(mv.load_views(paths).views[1], want.T)
+
+    def test_one_child_per_usable_core(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(data, "_FORK_MIN_BYTES", 0)
+        monkeypatch.setattr(data, "_usable_cores", lambda: 2)
+        ds = mv.synth_blobs(4, 2, 5, [3, 4, 5, 6], 0.5, 1)
+        ds = mv.MultiViewDataset(views=ds.views)  # 4 files: the views alone
+        for name in ("read_matrix", "write_matrix"):
+            monkeypatch.setattr(data, name, pid_logging(getattr(data, name),
+                                                         tmp_path / f"{name}.pids"))
+        with deadline(60):
+            paths, _ = mv.save_views(ds, tmp_path / "views")
+            mv.load_views(paths)
+        for name in ("read_matrix", "write_matrix"):
+            pids = callers(tmp_path / f"{name}.pids")
+            assert len(pids) == 2 and str(os.getpid()) in pids
+        assert multiprocessing.active_children() == []
+
+    def test_interrupt_stops_every_child(self, tmp_path, monkeypatch, forked):
+        paths = self.ragged_pair(tmp_path, "1,2")
+        here = os.getpid()
+
+        def interrupted_here(path):
+            if os.getpid() == here:
+                raise KeyboardInterrupt
+            time.sleep(120)  # past the deadline: only terminate() ends it
+
+        monkeypatch.setattr(data, "read_matrix", interrupted_here)
+        with pytest.raises(KeyboardInterrupt):
+            mv.load_views(paths)
+        assert multiprocessing.active_children() == []
 
     def test_small_files_stay_in_process(self, tmp_path, monkeypatch):
         monkeypatch.setattr(data, "_usable_cores", lambda: 4)

@@ -281,6 +281,14 @@ class TestFitOverflow:
         with pytest.raises(mv.NumericError, match="overflow .* in iteration 0$"):
             mv.fit(scaled_view0(1e200), hyper(max_iters=30), seed=0)
 
+    def test_sweep_outside_fit_raises(self):
+        # no raising error state here: adam_step itself sees grad² overflow
+        ds, h = scaled_view0(1.0), hyper(alpha=1e200)
+        with np.errstate(all="ignore"):
+            state = mv.init_state(ds, h, seed=0)
+            with pytest.raises(mv.NumericError, match="adam_step"):
+                mv.sweep_W(state, ds, h)
+
 
 class TestModelPersistence:
     def test_roundtrip_bit_identical_embeddings(self, tmp_path):
