@@ -6,13 +6,14 @@ config key; every run echoes those sections to `run.json` so it can be
 reproduced exactly.
 """
 
+import inspect
 import json
 import os
 from dataclasses import dataclass, fields
 
 from . import data
 from .errors import ConfigError
-from .params import Hyperparams, _integer, _is_number, _require
+from .params import Hyperparams, _integer, _integers, _require
 
 # exactly one of views and synth is given
 _DATASET_DEFAULTS = {
@@ -22,15 +23,9 @@ _DATASET_DEFAULTS = {
     "standardize": False,
 }
 
-_SYNTH_DEFAULTS = {
-    "V": 2,
-    "classes": 3,
-    "per_class": 10,
-    "dims": [8, 8],
-    "noise_sigma": 0.5,
-    "seed": 0,
-    "center_scale": 3.0,
-}
+# synth_blobs' own defaults; data._synth_args checks the section
+_SYNTH_DEFAULTS = {name: p.default for name, p in
+                   inspect.signature(data.synth_blobs).parameters.items()}
 
 # Hyperparams' own defaults, spelled `lambda` for `lam`; d, which
 # Hyperparams requires, defaults to 2 in a config
@@ -60,12 +55,6 @@ def _merge(section_name, defaults, given):
             raise ConfigError(f"unknown key '{key}' in section '{section_name}'")
         merged[key] = value
     return merged
-
-
-def _integers(name, values, low):
-    """A non-empty list of integers >= low, as ints."""
-    _require(isinstance(values, list) and values, name, "a non-empty list", values)
-    return [_integer(name, v, low) for v in values]
 
 
 @dataclass
@@ -101,19 +90,6 @@ class RunConfig:
         return path
 
 
-def _synth(given):
-    synth = _merge("dataset.synth", _SYNTH_DEFAULTS, given)
-    for key, low in (("V", 2), ("classes", 1), ("per_class", 1), ("seed", 0)):
-        synth[key] = _integer(f"dataset.synth.{key}", synth[key], low)
-    synth["dims"] = _integers("dataset.synth.dims", synth["dims"], 1)
-    if len(synth["dims"]) != synth["V"]:
-        raise ConfigError("dataset.synth: dims length must equal V")
-    for key in ("noise_sigma", "center_scale"):
-        _require(_is_number(synth[key]) and synth[key] >= 0,
-                 f"dataset.synth.{key}", "a finite number >= 0", synth[key])
-    return synth
-
-
 def build_config(raw):
     """Validate a parsed JSON object and fill defaults."""
     if not isinstance(raw, dict):
@@ -135,7 +111,8 @@ def build_config(raw):
     if views is None:
         if labels is not None:
             raise ConfigError("dataset.labels cannot be given with dataset.synth")
-        dataset["synth"] = _synth(dataset["synth"])
+        dataset["synth"] = data._synth_args(
+            **_merge("dataset.synth", _SYNTH_DEFAULTS, dataset["synth"]))
     else:
         # one view has no other view to contrast with, as synth.V = 1
         _require(isinstance(views, list) and len(views) >= 2, "dataset.views",

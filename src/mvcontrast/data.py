@@ -16,6 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, DataError, MvError
+from .params import _integer, _integers, _is_number, _require
 
 # A file below this many CSV bytes is read or written in the calling process.
 # Forking a worker and piping its array back costs about 10 ms on a 2-core
@@ -60,10 +61,11 @@ class MultiViewDataset:
             self.view_names = [f"view{m}" for m in range(len(self.views))]
         elif len(self.view_names) != len(self.views):
             raise DataError("view_names length does not match view count")
-        elif len(set(self.view_names)) != len(self.view_names):
-            # a name keys each view's file: projection_<name>.csv, <name>.csv
-            raise DataError("view names must be distinct (a view file's name "
-                            f"is its stem), got {self.view_names}")
+        elif (len(set(self.view_names)) != len(self.view_names)
+              or {"labels", "Mean", "fused"} & set(self.view_names)):
+            # a name keys its files and results row, as labels.csv, Mean and fused do
+            raise DataError("view names must be distinct and none of labels, Mean or "
+                            f"fused (a file's name is its stem), got {self.view_names}")
 
     @property
     def V(self):
@@ -92,8 +94,9 @@ class SplitSpec:
     repeat_index: int = 0
 
     def __post_init__(self):
-        if self.per_class < 1:
-            raise ConfigError(f"per_class must be >= 1, got {self.per_class}")
+        self.per_class = _integer("per_class", self.per_class, 1)
+        self.seed = _integer("seed", self.seed, 0)
+        self.repeat_index = _integer("repeat_index", self.repeat_index, 0)
 
 
 def read_matrix(path):
@@ -282,7 +285,7 @@ def split(ds, spec):
             f"per_class={spec.per_class} must be smaller than the smallest "
             f"class size {sizes.min()}")
     # one independent, reproducible PCG64 stream per (seed, repeat)
-    rng = np.random.default_rng([int(spec.seed), int(spec.repeat_index)])
+    rng = np.random.default_rng([spec.seed, spec.repeat_index])
     train_idx = []
     for cls in classes:
         members = np.flatnonzero(ds.labels == cls)
@@ -294,16 +297,30 @@ def split(ds, spec):
     return train_idx, np.flatnonzero(~mask)
 
 
-def synth_blobs(V, classes, per_class, dims, noise_sigma, seed,
+def _synth_args(V, classes, per_class, dims, noise_sigma, seed, center_scale):
+    """synth_blobs' arguments, in its order, as a dict checked the way the
+    config checks its dataset.synth section: counts as ints, dims a list."""
+    key = "dataset.synth.{}".format
+    V = _integer(key("V"), V, 2)
+    classes = _integer(key("classes"), classes, 1)
+    per_class = _integer(key("per_class"), per_class, 1)
+    seed = _integer(key("seed"), seed, 0)
+    dims = _integers(key("dims"), dims, 1)
+    _require(len(dims) == V, key("dims"), f"a list of V={V} integers", dims)
+    for name, value in (("noise_sigma", noise_sigma), ("center_scale", center_scale)):
+        _require(_is_number(value) and value >= 0, key(name), "a finite number >= 0",
+                 value)
+    return dict(V=V, classes=classes, per_class=per_class, dims=dims,
+                noise_sigma=noise_sigma, seed=seed, center_scale=center_scale)
+
+
+def synth_blobs(V=2, classes=3, per_class=10, dims=(8, 8), noise_sigma=0.5, seed=0,
                 center_scale=3.0):
-    """Gaussian blob views: one latent center per (class, view), shared labels."""
-    if V < 2 or classes < 1 or per_class < 1:
-        raise ConfigError("V must be >= 2, classes and per_class >= 1")
-    if len(dims) != V:
-        raise ConfigError(f"dims has {len(dims)} entries for V={V}")
-    if noise_sigma < 0:
-        raise ConfigError(f"noise_sigma must be >= 0, got {noise_sigma}")
-    rng = np.random.default_rng([int(seed)])
+    """Gaussian blob views: one latent center per (class, view), shared labels;
+    the defaults and checks are the config's dataset.synth section."""
+    V, classes, per_class, dims, noise_sigma, seed, center_scale = _synth_args(
+        V, classes, per_class, dims, noise_sigma, seed, center_scale).values()
+    rng = np.random.default_rng([seed])
     n = classes * per_class
     labels = np.repeat(np.arange(classes), per_class)
     views = []

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import losses, trainer
+from . import losses, params, trainer
 from .data import SplitSpec, split
 from .errors import ConfigError, DataError, NumericError, numeric_errors
 
@@ -130,17 +130,14 @@ def run_experiment(ds, h, M, repeats, base_seed, fixed_model=None):
     pre-trained `fixed_model` is supplied, fits a fresh model on the
     training samples with the same derived seed; each model projects ds once.
     """
-    if ds.labels is None:
-        raise ConfigError("run_experiment requires labels")
-    if repeats < 1:
-        raise ConfigError(f"repeats must be >= 1, got {repeats}")
+    repeats = params._integer("repeats", repeats, 1)
     Y = None if fixed_model is None else project(fixed_model, ds)
     rows = []  # per repeat: the per-view accuracies, their mean, fused
     for r in range(repeats):
         spec = SplitSpec(per_class=M, seed=base_seed, repeat_index=r)
         train_idx, test_idx = split(ds, spec)
         if fixed_model is None:
-            model, _ = trainer.fit(ds.subset(train_idx), h, seed=int(base_seed) + r)
+            model, _ = trainer.fit(ds.subset(train_idx), h, seed=spec.seed + r)
             Y = project(model, ds)
         per_view, mean_acc, fused = evaluate_split(Y, ds.labels, train_idx, test_idx)
         rows.append([*per_view, mean_acc, fused])

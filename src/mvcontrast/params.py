@@ -27,6 +27,13 @@ def _integer(name, value, low):
     return int(value)
 
 
+def _integers(name, values, low):
+    """A non-empty list or tuple of integers >= low, as a list of ints."""
+    _require(isinstance(values, (list, tuple)) and values, name, "a non-empty list",
+             values)
+    return [_integer(name, v, low) for v in values]
+
+
 @dataclass
 class Hyperparams:
     """All scalars the objective and the Adam optimizer need.

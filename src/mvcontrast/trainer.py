@@ -120,9 +120,9 @@ def sweep_W(state, ds, h):
 def fit(ds, h, seed):
     """Run the alternating scheme to convergence; returns (Model, TrainState).
 
-    An overflow or invalid operation raises NumericError naming the
-    iteration, 0 for the initial loss, rather than letting inf stall the
-    steps into a false convergence.
+    An overflow or invalid operation, or an iteration in which every step
+    rounds to 0, raises NumericError naming the iteration, 0 for the initial
+    loss, rather than letting the steps stall into a false convergence.
     """
     t0 = time.perf_counter()
     converged = False
@@ -135,6 +135,8 @@ def fit(ds, h, seed):
             new_P, state.adam_P = adam_step(state.P.P, g, state.adam_P, h)
             state.last_max_step = max(state.last_max_step,
                                       float(np.max(np.abs(new_P - state.P.P))))
+            if state.last_max_step == 0.0:
+                raise NumericError(f"every step rounded to 0 {guard.where}")
             state.P = losses.ProjectionStack(P=new_P, view_dims=ds.view_dims)
             state.iter += 1
             state.loss_history.append(losses.total_loss(state.P, state.W, ds, h))

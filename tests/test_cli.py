@@ -302,6 +302,28 @@ class TestGradcheckDiagnose:
             capsys.readouterr().err
         assert not (model / "manifest.json").exists()
 
+    def test_reserved_view_name_exit_2(self, tmp_path, capsys):
+        # a view named fused would give the results two fused rows
+        cfg, paths, label_path = write_file_dataset(tmp_path)
+        fused = os.path.join(os.path.dirname(paths[0]), "fused.csv")
+        os.rename(paths[0], fused)
+        cfg = write_config(tmp_path / "c.json", dict(SYNTH_SMALL, dataset={
+            "views": [fused, paths[1]], "labels": label_path}))
+        assert main(["eval", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+        assert "error: DataError: view names must be distinct and none of " \
+            "labels, Mean or fused" in capsys.readouterr().err
+        assert not (tmp_path / "r" / "results.csv").exists()
+
+    def test_zero_step_fit_exit_3(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", {
+            "dataset": {"synth": {"classes": 2, "per_class": 4, "dims": [3, 3]}},
+            "hyper": {"gamma": 1e-300}})
+        model = tmp_path / "m"
+        assert main(["train", "--config", cfg, "--out", str(model)]) == 3
+        assert "error: NumericError: every step rounded to 0 in iteration 1" in \
+            capsys.readouterr().err
+        assert not (model / "manifest.json").exists()
+
 
 class TestUnwritableOutput:
     """An output path naming a file is a ConfigError (exit 1), not a traceback."""

@@ -12,6 +12,7 @@ import pytest
 import mvcontrast as mv
 from mvcontrast import data
 from mvcontrast.cli import main
+from mvcontrast.config import build_config
 from mvcontrast.data import view_offsets
 from mvcontrast.errors import ConfigError, DataError, MvError
 
@@ -389,6 +390,27 @@ class TestSynthBlobs:
         with pytest.raises(ConfigError):
             mv.synth_blobs(2, 2, 3, [4], 0.3, 0)
 
+    # numpy would raise TypeError or ValueError on these, or draw a 0-feature view
+    @pytest.mark.parametrize("kw,key", [
+        (dict(per_class=2.5), "per_class"),
+        (dict(dims=[2.5, 3]), "dims"),
+        (dict(seed=-1), "seed"),
+        (dict(center_scale=-1), "center_scale"),
+        (dict(dims=[0, 3]), "dims"),
+    ], ids=["fractional per_class", "fractional dim", "negative seed",
+            "negative center_scale", "zero dim"])
+    def test_checked_as_the_config_checks(self, kw, key):
+        with pytest.raises(ConfigError, match=f"^dataset.synth.{key} must be"):
+            mv.synth_blobs(**kw)
+        with pytest.raises(ConfigError, match=f"^dataset.synth.{key} must be"):
+            build_config({"dataset": {"synth": kw}})
+
+    def test_defaults_are_the_config_defaults(self):
+        ours = mv.synth_blobs()
+        config = build_config({"dataset": {"synth": {}}}).load_dataset()
+        assert all(np.array_equal(a, b) for a, b in zip(ours.views, config.views))
+        assert ours.view_dims == [8, 8] and ours.n == 30
+
 
 class TestStandardize:
     def test_zero_mean_unit_variance(self):
@@ -409,6 +431,13 @@ class TestDatasetValidation:
         bad[0, 0] = np.nan
         with pytest.raises(DataError, match="non-finite"):
             mv.MultiViewDataset(views=[bad, np.ones((2, 3))])
+
+    # labels.csv holds the labels; Mean and fused label results rows
+    @pytest.mark.parametrize("name", ["labels", "Mean", "fused"])
+    def test_reserved_view_names(self, name):
+        with pytest.raises(DataError, match="none of labels, Mean or fused"):
+            mv.MultiViewDataset(views=[np.ones((2, 3)), np.ones((2, 3))],
+                                view_names=[name, "b"])
 
     def test_label_length_mismatch(self):
         with pytest.raises(DataError, match="labels"):

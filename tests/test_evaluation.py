@@ -182,6 +182,20 @@ class TestRunExperiment:
                                   base_seed=0, fixed_model=model)
         assert all(r["mean"] == 1.0 for r in table.rows)
 
+    @pytest.mark.parametrize("kw,name", [
+        (dict(M=2.5), "per_class"),
+        (dict(repeats=2.5), "repeats"),
+        (dict(base_seed=-1), "seed"),
+        (dict(base_seed=1.5), "seed"),
+    ], ids=["fractional M", "fractional repeats", "negative base_seed",
+            "fractional base_seed"])
+    def test_bad_count_or_seed(self, kw, name):
+        ds = mv.synth_blobs(2, 3, 6, [4, 4], 0.0, 0)
+        model = make_model([np.eye(4)[:, :2], np.eye(4)[:, :2]])
+        args = dict(dict(M=2, repeats=2, base_seed=0), **kw)
+        with pytest.raises(ConfigError, match=f"^{name} must be an integer"):
+            mv.run_experiment(ds, self.small_h(), fixed_model=model, **args)
+
     def test_csv_format(self):
         ds = mv.synth_blobs(2, 2, 5, [3, 3], 0.0, 1)
         table = mv.run_experiment(ds, self.small_h(), M=2, repeats=1, base_seed=0)

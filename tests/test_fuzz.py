@@ -1,5 +1,5 @@
 """Fuzz the config parser, the matrix-file and model readers, the numeric
-CLI flags and `fit` on extreme hyperparameters.
+CLI flags and `fit` on extreme hyperparameters and degenerate views.
 
 Whatever a config holds, `build_config` either accepts it or raises
 ConfigError, and an accepted config's echo reloads as the same echo.
@@ -8,7 +8,7 @@ Whatever a view, label or projection file holds, and whatever
 of its exit codes; any other exception escaping `cli.main` fails the test,
 and so does a numpy RuntimeWarning (a bad value that got past the readers),
 which the pytest configuration turns into an error.  A fit either raises
-NumericError or returns a finite state whose convergence is real.
+an MvError or returns a finite state whose convergence is real.
 """
 
 import contextlib
@@ -185,6 +185,46 @@ def test_fit_raises_or_converges_for_real(V, n, data):
     try:
         model, state = mv.fit(mv.MultiViewDataset(views=views), h, seed=0)
     except mv.NumericError:
+        return
+    assert np.isfinite(state.P.P).all()
+    assert all(np.isfinite(Wm).all() for Wm in state.W.W)
+    assert not model.meta["converged"] or state.last_max_step > 0
+
+
+def magnitude(low, high):
+    """10**u for u in [low, high]."""
+    return st.floats(low, high).map(lambda u: 10.0 ** u)
+
+
+# view 0 constant or zero, or every sample of both views the same
+DEGENERATE = ["none", "constant view", "zero view", "equal samples"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.sampled_from([1, 2, 8]), degenerate=st.sampled_from(DEGENERATE),
+       gamma=magnitude(-300, 0), extreme=st.fixed_dictionaries({}, optional={
+           name: magnitude(-300, 300)
+           for name in ("eps_adam", "tau1", "tau2", "norm_eps")}),
+       d=st.integers(1, 3), max_iters=st.integers(1, 10),
+       seed=st.integers(0, 2 ** 32 - 1))
+# steps too small to move W or P leave the loss unchanged, which meets tol
+@example(n=8, degenerate="none", gamma=1e-300, extreme={}, d=2, max_iters=30, seed=0)
+@example(n=8, degenerate="none", gamma=1e-3, extreme={"eps_adam": 1e300}, d=2,
+         max_iters=30, seed=0)
+def test_fit_on_tiny_steps_or_degenerate_views(n, degenerate, gamma, extreme, d,
+                                               max_iters, seed):
+    rng = np.random.default_rng(seed)
+    views = [rng.normal(size=(3, n)) for _ in range(2)]
+    if degenerate == "constant view":
+        views[0][:] = rng.normal()
+    elif degenerate == "zero view":
+        views[0][:] = 0.0
+    elif degenerate == "equal samples":
+        views = [v[:, :1].repeat(n, axis=1) for v in views]
+    h = mv.Hyperparams(d=d, gamma=gamma, max_iters=max_iters, **extreme)
+    try:
+        model, state = mv.fit(mv.MultiViewDataset(views=views), h, seed=0)
+    except mv.MvError:
         return
     assert np.isfinite(state.P.P).all()
     assert all(np.isfinite(Wm).all() for Wm in state.W.W)

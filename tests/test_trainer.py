@@ -281,6 +281,14 @@ class TestFitOverflow:
         with pytest.raises(mv.NumericError, match="overflow .* in iteration 0$"):
             mv.fit(scaled_view0(1e200), hyper(max_iters=30), seed=0)
 
+    # a step below the spacing of doubles near W and P moves nothing, so the
+    # loss stays put and would meet `tol`
+    @pytest.mark.parametrize("kw", [dict(gamma=1e-300), dict(eps_adam=1e300)],
+                             ids=["gamma", "eps_adam"])
+    def test_zero_steps_raise(self, kw):
+        with pytest.raises(mv.NumericError, match="rounded to 0 in iteration 1$"):
+            mv.fit(scaled_view0(1.0), hyper(**kw), seed=0)
+
     def test_sweep_outside_fit_raises(self):
         # no raising error state here: adam_step itself sees grad² overflow
         ds, h = scaled_view0(1.0), hyper(alpha=1e200)
