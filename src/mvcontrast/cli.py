@@ -17,18 +17,9 @@ import sys
 
 import numpy as np
 
-from . import data, diagnostics, evaluation, gradients, losses, trainer
+from . import data, diagnostics, evaluation, gradients, losses, params, trainer
 from .config import parse_config
 from .errors import ConfigError, MvError, numeric_errors
-
-
-def _write_loss_history(history, out):
-    path = os.path.join(out, "loss_history.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("iteration,total_loss\n")
-        for i, value in enumerate(history):
-            fh.write(f"{i},{value:.17g}\n")
-    return path
 
 
 def _config_and_output_dir(args):
@@ -55,7 +46,8 @@ def cmd_train(args):
     ds = cfg.load_dataset()
     model, state = trainer.fit(ds, cfg.hyper, seed=cfg.experiment["base_seed"])
     trainer.save_model(model, out, view_names=ds.view_names)
-    _write_loss_history(state.loss_history, out)
+    data.write_matrix(os.path.join(out, "loss_history.csv"),
+                      [*enumerate(state.loss_history)], header="iteration,total_loss")
     cfg.write_echo(out)
     print(f"trained {state.iter} iterations, final loss "
           f"{state.loss_history[-1]:.6f}, model in {out}")
@@ -119,8 +111,7 @@ def cmd_gradcheck(args):
 
 
 def cmd_diagnose(args):
-    if args.trials < 1:
-        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
+    params._integer("--trials", args.trials, 1)
     cfg = parse_config(args.config)
     rng = np.random.default_rng([cfg.experiment["base_seed"]])
     rows = []

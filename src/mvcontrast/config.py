@@ -1,13 +1,12 @@
 """Run configuration: a single sectioned JSON file with strict validation.
 
-Unknown keys are errors, never silently ignored.  `RunConfig` holds the
+Unknown and repeated keys are errors, never silently ignored.  `RunConfig` holds the
 validated sections, defaults filled in and each value normalized under its
 config key; every run echoes those sections to `run.json` so it can be
 reproduced exactly.
 """
 
 import inspect
-import json
 import os
 from dataclasses import dataclass, fields
 
@@ -83,11 +82,7 @@ class RunConfig:
         hyper["lambda"] = hyper.pop("lam")
         resolved = {"dataset": self.dataset, "hyper": hyper,
                     "experiment": self.experiment, "output": self.output}
-        os.makedirs(directory, exist_ok=True)
-        path = os.path.join(directory, "run.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(resolved, fh, indent=2, sort_keys=True)
-        return path
+        return data.write_json(os.path.join(directory, "run.json"), resolved)
 
 
 def build_config(raw):
@@ -145,11 +140,4 @@ def build_config(raw):
 
 def parse_config(path):
     """Read and validate a JSON config file."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    return build_config(raw)
+    return build_config(data.read_json(path, "config", ConfigError))

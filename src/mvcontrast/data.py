@@ -1,14 +1,15 @@
-"""Multi-view data: matrix files, validation, synthesis, splitting.
+"""Multi-view data: the file codec, validation, synthesis, splitting.
 
-On disk a view is CSV with one row per sample; in memory every view is kept
-feature-major (D_m x n) so each sample is a column vector.  `read_matrix`
-and `write_matrix` are the only code that knows the on-disk matrix format.
-`load_views` and `save_views` hand their files to `_per_file`, which deals
-large files by size to this process and one forked child per further usable
-core, with the same results and errors as one file after another.
+Every file but the results table is read and written here: CSV matrices by
+`read_matrix`/`write_matrix`; the config, `run.json` and the manifest by
+`read_json`/`write_json`, which reject a key repeated within one object.  A
+view is CSV with one row per sample on disk and D_m x n in memory, so each
+sample is a column; `_per_file` deals large view files to forked children,
+one per further usable core.  A synthetic view fits numpy's address space.
 """
 
 import itertools
+import json
 import os
 from dataclasses import dataclass, field
 from typing import Optional
@@ -120,10 +121,10 @@ def read_matrix(path):
         raise DataError(f"{path}: {exc}") from None
 
 
-def write_matrix(path, matrix):
+def write_matrix(path, matrix, header=None):
     """Write a 2-D array (a 1-D one as a column) as CSV that `read_matrix`
     reads back bit-exactly: the bytes of np.savetxt(fmt="%.17g",
-    delimiter=",")."""
+    delimiter=","), after the line `header` if one is given."""
     matrix = np.asarray(matrix)
     if matrix.ndim == 1:
         matrix = matrix[:, None]
@@ -132,9 +133,40 @@ def write_matrix(path, matrix):
     row_fmt = ",".join(["%.17g"] * matrix.shape[1]) + "\n"
     step = max(1, _WRITE_BLOCK_VALUES // max(1, matrix.shape[1]))
     with open(path, "w", encoding="utf-8") as fh:
+        if header is not None:
+            fh.write(header + "\n")
         for start in range(0, matrix.shape[0], step):
             fh.write("".join([row_fmt % tuple(row)
                               for row in matrix[start:start + step].tolist()]))
+
+
+def _unique_keys(pairs):
+    """A JSON object's (key, value) pairs as a dict; a repeated key is a ValueError."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"key {key!r} is repeated in one object")
+        obj[key] = value
+    return obj
+
+
+def read_json(path, what, error):
+    """The JSON at `path`, or `error` naming `what` if it cannot be read or parsed."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh, object_pairs_hook=_unique_keys)
+    except OSError as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, a repeated key
+        raise error(f"{what} {path} is not valid JSON: {exc}") from None
+
+
+def write_json(path, obj):
+    """Write `obj` to `path` as sorted, 2-space-indented JSON, making the directory."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+    return path
 
 
 def _usable_cores():
@@ -307,6 +339,11 @@ def _synth_args(V, classes, per_class, dims, noise_sigma, seed, center_scale):
     seed = _integer(key("seed"), seed, 0)
     dims = _integers(key("dims"), dims, 1)
     _require(len(dims) == V, key("dims"), f"a list of V={V} integers", dims)
+    # one view's bytes bound np.repeat's count, np.arange's length and each draw
+    _require(classes * per_class * max(dims) * 8 <= np.iinfo(np.intp).max,
+             "dataset.synth classes * per_class * max(dims) * 8", "at most "
+             f"{np.iinfo(np.intp).max}, the bytes numpy can address in one array",
+             f"{classes} * {per_class} * {max(dims)} * 8")
     for name, value in (("noise_sigma", noise_sigma), ("center_scale", center_scale)):
         _require(_is_number(value) and value >= 0, key(name), "a finite number >= 0",
                  value)

@@ -77,9 +77,6 @@ class CoefficientSet:
     def n(self):
         return self.W[0].shape[0]
 
-    def copy(self):
-        return CoefficientSet([w.copy() for w in self.W])
-
 
 def view_embeddings(P, ds):
     """Per-view embeddings Y^m = P_m^T X^m (d x n each)."""

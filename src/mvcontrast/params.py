@@ -80,13 +80,10 @@ class Hyperparams:
         self.d = _integer("d", self.d, 1)
         for name in ("lam", "alpha", "beta", "tau1", "tau2", "gamma",
                      "eps_adam", "norm_eps", "tol"):
-            value = getattr(self, name)
-            if not value > 0:
-                raise ConfigError(f"{name} must be > 0, got {value}")
+            _require(getattr(self, name) > 0, name, "> 0", getattr(self, name))
         for name in ("b1", "b2"):
-            value = getattr(self, name)
-            if not 0 < value < 1:
-                raise ConfigError(f"{name} must lie in (0, 1), got {value}")
+            _require(0 < getattr(self, name) < 1, name, "in (0, 1)",
+                     getattr(self, name))
         self.max_iters = _integer("max_iters", self.max_iters, 0)
 
     def validate_dims(self, view_dims):

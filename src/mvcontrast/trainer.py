@@ -7,7 +7,6 @@ The loop stops when the total loss changes by at most `tol` or after
 `max_iters` iterations.
 """
 
-import json
 import os
 import time
 from dataclasses import dataclass, field
@@ -15,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gradients, losses
-from .data import read_matrix, write_matrix
+from .data import read_json, read_matrix, write_json, write_matrix
 from .errors import ConfigError, DataError, NumericError, numeric_errors
 from .params import Hyperparams
 
@@ -173,22 +172,13 @@ def save_model(model, directory, view_names=None):
         "hyperparams": model.hyper.as_dict(),
         "meta": model.meta,
     }
-    path = os.path.join(directory, "manifest.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-    return path
+    return write_json(os.path.join(directory, "manifest.json"), manifest)
 
 
 def load_model(model_dir):
     """Read a model written by `save_model`; any defect is a DataError."""
     path = os.path.join(model_dir, "manifest.json")
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except OSError as exc:
-        raise DataError(f"cannot read model manifest {path}: {exc}") from exc
-    except ValueError as exc:
-        raise DataError(f"model manifest {path} is not valid JSON: {exc}") from None
+    manifest = read_json(path, "model manifest", DataError)
     try:
         h = Hyperparams(**manifest["hyperparams"])
         shapes = [(dim, manifest["d"]) for dim in manifest["view_dims"]]

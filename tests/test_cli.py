@@ -1,5 +1,7 @@
 import json
 import os
+import pathlib
+import re
 import subprocess
 import sys
 
@@ -112,6 +114,26 @@ class TestBuildConfig:
         with pytest.raises(ConfigError, match="not valid JSON"):
             parse_config(str(p))
 
+    def test_repeated_key_exit_1(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"dataset": {"synth": {}}, "hyper": {"d": 2, "d": 9}}')
+        out = tmp_path / "m"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+        assert (f"error: ConfigError: config {cfg} is not valid JSON: key 'd' is "
+                "repeated in one object") in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text,message", [
+        (b'{"dataset": {"synth": {}}, "output": {"dir": "\xff"}}', "'utf-8' codec"),
+        (b"[" * 100000 + b"]" * 100000, "maximum recursion depth"),
+    ], ids=["not UTF-8", "nested too deep"])
+    def test_undecodable_config_exit_1(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "c.json"
+        cfg.write_bytes(text)
+        assert main(["gradcheck", "--config", str(cfg)]) == 1
+        assert (f"error: ConfigError: config {cfg} is not valid JSON: {message}"
+                in capsys.readouterr().err)
+
 
 class TestSynthTrainEval:
     def test_synth_writes_csvs_and_echo(self, tmp_path, capsys):
@@ -154,6 +176,18 @@ class TestSynthTrainEval:
         labels = [line.split(",")[0] for line in csv[1:]]
         assert labels == ["view0", "view1", "Mean", "fused"]
         assert (eval_dir / "results.txt").exists()
+
+    def test_train_files_in_the_codec_formats(self, tmp_path, capsys):
+        cfg, out = write_config(tmp_path / "c.json", SYNTH_SMALL), tmp_path / "m"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 0
+        run = build_config(SYNTH_SMALL)
+        _, state = mv.fit(run.load_dataset(), run.hyper,
+                          seed=run.experiment["base_seed"])
+        assert (out / "loss_history.csv").read_text() == "iteration,total_loss\n" + \
+            "".join(f"{i},{v:.17g}\n" for i, v in enumerate(state.loss_history))
+        for name in ("run.json", "manifest.json"):
+            text = (out / name).read_text()
+            assert text == json.dumps(json.loads(text), indent=2, sort_keys=True)
 
     def test_eval_retrains_without_model(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", SYNTH_SMALL)
@@ -383,6 +417,8 @@ BAD_MODEL_FILES = {
         '"view_dims"', '"dims"')),
     "unknown hyperparameter": ("manifest.json", lambda text: text.replace(
         '"gamma"', '"learning_rate"')),
+    "repeated hyperparameter": ("manifest.json", lambda text: text.replace(
+        '"gamma":', '"gamma": 0.5, "gamma":')),
     "non-numeric projection": ("projection_view0.csv",
                                lambda text: "1,0\n0,x\n0,0\n0,0\n"),
     "non-finite projection": ("projection_view0.csv",
@@ -434,6 +470,21 @@ class TestBadInputFiles:
         assert main(["eval", "--config", cfg, "--model", str(model_dir),
                      "--out", str(tmp_path / "r")]) == 2
         assert "error: DataError" in capsys.readouterr().err
+
+    def test_missing_or_truncated_json_named(self, tmp_path):
+        cfg, _, _ = write_file_dataset(tmp_path)
+        manifest = tmp_path / "model" / "manifest.json"
+        for path, read, error, what in [
+                (pathlib.Path(cfg), parse_config, ConfigError, "config"),
+                (manifest, lambda p: mv.load_model(p.parent), DataError,
+                 "model manifest")]:
+            name = re.escape(str(path))
+            path.write_text(path.read_text()[:-2])
+            with pytest.raises(error, match=f"^{what} {name} is not valid JSON: "):
+                read(path)
+            path.unlink()
+            with pytest.raises(error, match=f"^cannot read {what} {name}: "):
+                read(path)
 
     def test_overflowing_projection_exit_3(self, tmp_path, capsys):
         cfg, _, _ = write_file_dataset(tmp_path)

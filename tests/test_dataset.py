@@ -3,6 +3,7 @@ import json
 import multiprocessing
 import os
 import pathlib
+import re
 import signal
 import time
 
@@ -96,6 +97,12 @@ class TestWriteMatrix:
         data.write_matrix(tmp_path / "got.csv", matrix)
         assert (tmp_path / "got.csv").read_bytes() == \
             savetxt_bytes(tmp_path / "want.csv", matrix)
+
+    def test_header_line_then_savetxt_bytes(self, tmp_path):
+        matrix = self.CASES["transposed view"]
+        data.write_matrix(tmp_path / "got.csv", matrix, header="a,b")
+        assert (tmp_path / "got.csv").read_bytes() == \
+            b"a,b\n" + savetxt_bytes(tmp_path / "want.csv", matrix)
 
     @pytest.mark.parametrize("block_values", [1, 2, 7, 30])
     def test_rows_not_a_multiple_of_the_block(self, tmp_path, monkeypatch,
@@ -404,6 +411,24 @@ class TestSynthBlobs:
             mv.synth_blobs(**kw)
         with pytest.raises(ConfigError, match=f"^dataset.synth.{key} must be"):
             build_config({"dataset": {"synth": kw}})
+
+    # only sizes above the bound: one below it may allocate gigabytes
+    @pytest.mark.parametrize("kw,factors", [
+        (dict(per_class=1e20), "3 * 100000000000000000000 * 8 * 8"),
+        (dict(dims=[1e19, 3]), "3 * 10 * 10000000000000000000 * 8"),
+        (dict(classes=1e19), "10000000000000000000 * 10 * 8 * 8"),
+    ], ids=["per_class", "dim", "classes"])
+    def test_view_beyond_numpy_addressing(self, tmp_path, capsys, kw, factors):
+        match = (r"^dataset.synth classes \* per_class \* max\(dims\) \* 8 must be "
+                 rf"at most {np.iinfo(np.intp).max}.*got '{re.escape(factors)}'$")
+        with pytest.raises(ConfigError, match=match):
+            mv.synth_blobs(**kw)
+        with pytest.raises(ConfigError, match=match):
+            build_config({"dataset": {"synth": kw}})
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"dataset": {"synth": kw}}))
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert "error: ConfigError: dataset.synth classes" in capsys.readouterr().err
 
     def test_defaults_are_the_config_defaults(self):
         ours = mv.synth_blobs()

@@ -140,7 +140,7 @@ class TestGradW:
         h = hyper(alpha=1e-300, beta=1e-300)
         i, m = 1, 0
         g1 = grad_w(i, m, P, W, ds, h)
-        W2 = W.copy()
+        W2 = mv.CoefficientSet([w.copy() for w in W.W])
         for k in range(ds.n):
             if k != i:
                 W2.W[m][:, k] = 0.0
