@@ -1,11 +1,12 @@
 """Multi-view data: the file codec, validation, synthesis, splitting.
 
-Every file but the results table is read and written here: CSV matrices by
-`read_matrix`/`write_matrix`; the config, `run.json` and the manifest by
-`read_json`/`write_json`, which reject a key repeated within one object.  A
-view is CSV with one row per sample on disk and D_m x n in memory, so each
-sample is a column; `_per_file` deals large view files to forked children,
-one per further usable core.  A synthetic view fits numpy's address space.
+Every file but the results table is read and written here: CSV matrices, of
+finite numbers only, by `read_matrix`/`write_matrix`; the config, `run.json`
+and the manifest by `read_json`/`write_json`, which reject a key repeated
+within one object.  A view is CSV with one row per sample on disk and D_m x n
+in memory, so each sample is a column; `_per_file` maps a reader or writer
+over the files, dealing large ones to forked children, one per further usable
+core.  A synthetic view fits numpy's address space.
 """
 
 import itertools
@@ -54,7 +55,7 @@ class MultiViewDataset:
         if n < 1:
             raise DataError("views are empty")
         if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=int)
+            self.labels = _integer_labels(self.labels, "labels")
             if self.labels.shape != (n,):
                 raise DataError(
                     f"labels length {self.labels.shape} does not match n={n}")
@@ -101,7 +102,7 @@ class SplitSpec:
 
 
 def read_matrix(path):
-    """Read a CSV matrix file into a 2-D float array.
+    """Read a CSV matrix file into a 2-D array of finite floats.
 
     Blank and whitespace-only lines are skipped; every other line must hold
     the same number of comma-separated numbers.  `#` is not a comment.
@@ -112,13 +113,18 @@ def read_matrix(path):
             first = next(rows, None)
             if first is None:
                 raise DataError(f"{path}: empty file")
-            return np.loadtxt(itertools.chain([first], rows), delimiter=",",
-                              ndmin=2, comments=None)
+            M = np.loadtxt(itertools.chain([first], rows), delimiter=",",
+                           ndmin=2, comments=None)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
         # ragged row, non-numeric cell or bad UTF-8; numpy names row and column
         raise DataError(f"{path}: {exc}") from None
+    if not np.isfinite(M).all():  # nan, inf or a cell past the double range
+        # counted as numpy's messages count them: from 1, blank lines skipped
+        r, c = np.argwhere(~np.isfinite(M))[0] + 1
+        raise DataError(f"{path}: non-finite value at row {r}, column {c}")
+    return M
 
 
 def write_matrix(path, matrix, header=None):
@@ -183,16 +189,15 @@ def _attempt(fn, job):
 
 
 def _per_file(fn, jobs, sizes):
-    """[(ok, fn(*job) or the exception it raised) for job in jobs], where
-    job[0] is the file's path and sizes[k] job k's CSV bytes.
+    """[fn(*job) for job in jobs], where job[0] is the file's path and sizes[k]
+    job k's CSV bytes; once every job has run, the first to fail raises.
 
-    Every job runs, even after one fails.  Jobs of at least _FORK_MIN_BYTES
-    are dealt, largest first, each to whichever of this process and its
-    cores - 1 forked children has the fewest bytes so far; smaller ones run
-    here, as does a share no process can be forked for.  A child gets its
-    share's inputs by fork and sends its outcomes back in one pickle.
-    Children only parse or format text, never BLAS, so the threads a BLAS
-    pool keeps are safe to fork past.
+    Jobs of at least _FORK_MIN_BYTES are dealt, largest first, each to
+    whichever of this process and its cores - 1 forked children has the
+    fewest bytes so far; smaller ones run here, as does a share no process
+    can be forked for.  A child gets its share's inputs by fork and sends its
+    outcomes back in one pickle.  Children only parse or format text, never
+    BLAS, so the threads a BLAS pool keeps are safe to fork past.
     """
     cores = _usable_cores() if hasattr(os, "fork") else 1
     shares, loads = [[] for _ in range(cores)], [0] * cores
@@ -200,14 +205,11 @@ def _per_file(fn, jobs, sizes):
         s = loads.index(min(loads)) if sizes[k] >= _FORK_MIN_BYTES else 0
         shares[s].append(k)
         loads[s] += sizes[k]
-    if not any(shares[1:]):
-        return [_attempt(fn, job) for job in jobs]
-    import multiprocessing
-
-    ctx = multiprocessing.get_context("fork")
     outcomes, children = {}, []  # children: (share, process, read end)
     try:
         for share in filter(None, shares[1:]):
+            import multiprocessing  # only once a child has a share
+            ctx = multiprocessing.get_context("fork")
             recv_end, send_end = ctx.Pipe(duplex=False)
             proc = ctx.Process(target=lambda conn, share: conn.send(
                 [_attempt(fn, jobs[k]) for k in share]), args=(send_end, share))
@@ -237,15 +239,10 @@ def _per_file(fn, jobs, sizes):
             proc.terminate()  # a no-op once joined; an interrupt may skip that
             proc.join()
             conn.close()
-    return [outcomes[k] for k in range(len(jobs))]
-
-
-def _value(outcome):
-    """The value of an (ok, value) outcome of `_per_file`, or raise it."""
-    ok, value = outcome
-    if not ok:
-        raise value
-    return value
+    for ok, value in (outcomes[k] for k in range(len(jobs))):
+        if not ok:
+            raise value
+    return [outcomes[k][1] for k in range(len(jobs))]
 
 
 def _file_bytes(path):
@@ -256,33 +253,39 @@ def _file_bytes(path):
         return 0
 
 
+def _integer_labels(labels, name):
+    """`labels` as ints, or a DataError naming `name` unless each is an integral
+    number of magnitude below 2**53, past which doubles skip integers."""
+    raw = np.asarray(labels)
+    if raw.dtype.kind in "biuf":
+        values = raw.astype(float)
+        if np.all((np.abs(values) < 2.0 ** 53) & (values == np.round(values))):
+            return raw.astype(int)
+    raise DataError(f"{name} must be integers of magnitude below 2**53")
+
+
 def load_views(view_files, label_file=None):
     """Read sample-major CSV views (and optional labels) into a dataset."""
     paths = list(view_files) if label_file is None else [*view_files, label_file]
-    outcomes = _per_file(read_matrix, [(p,) for p in paths],
+    matrices = _per_file(read_matrix, [(p,) for p in paths],
                          [_file_bytes(p) for p in paths])
-    matrices = [_value(o) for o in outcomes[:len(view_files)]]
-    n_rows = {m.shape[0] for m in matrices}
+    views = matrices[:len(view_files)]
+    n_rows = {m.shape[0] for m in views}
     if len(n_rows) > 1:
-        counts = ", ".join(f"{p}: {m.shape[0]}" for p, m in zip(view_files, matrices))
+        counts = ", ".join(f"{p}: {m.shape[0]}" for p, m in zip(view_files, views))
         raise DataError(f"view files disagree on sample count ({counts})")
-    if matrices[0].shape[0] < 2:
-        raise DataError(f"need at least 2 samples, got {matrices[0].shape[0]}")
+    if views[0].shape[0] < 2:
+        raise DataError(f"need at least 2 samples, got {views[0].shape[0]}")
     labels = None
     if label_file is not None:
-        raw = _value(outcomes[-1])
-        if raw.shape[1] != 1:
+        if matrices[-1].shape[1] != 1:
             raise DataError(f"{label_file}: expected one integer per line")
-        # beyond 2**53 a double no longer tells neighbouring integers apart
-        if not np.all((np.abs(raw) < 2.0 ** 53) & (raw == np.round(raw))):
+        labels = _integer_labels(matrices[-1][:, 0], f"{label_file}: labels")
+        if labels.shape[0] != views[0].shape[0]:
             raise DataError(
-                f"{label_file}: labels must be integers of magnitude below 2**53")
-        labels = raw[:, 0].astype(int)
-        if labels.shape[0] != matrices[0].shape[0]:
-            raise DataError(
-                f"{label_file}: {labels.shape[0]} labels for {matrices[0].shape[0]} samples")
+                f"{label_file}: {labels.shape[0]} labels for {views[0].shape[0]} samples")
     names = [os.path.splitext(os.path.basename(p))[0] for p in view_files]
-    return MultiViewDataset(views=[m.T for m in matrices], labels=labels,
+    return MultiViewDataset(views=[m.T for m in views], labels=labels,
                             view_names=names)
 
 
@@ -295,16 +298,8 @@ def save_views(ds, directory):
     if ds.labels is not None:
         label_file = os.path.join(directory, "labels.csv")
         jobs.append((label_file, ds.labels[:, None]))
-    outcomes = _per_file(write_matrix, jobs,
-                         [_CSV_BYTES_PER_VALUE * m.size for _, m in jobs])
-    for outcome in outcomes:
-        _value(outcome)
+    _per_file(write_matrix, jobs, [_CSV_BYTES_PER_VALUE * m.size for _, m in jobs])
     return [path for path, _ in jobs[:ds.V]], label_file
-
-
-def view_offsets(view_dims):
-    """Row offset of each view block inside the stacked D x n frame."""
-    return [int(o) for o in np.concatenate([[0], np.cumsum(view_dims)[:-1]])]
 
 
 def split(ds, spec):

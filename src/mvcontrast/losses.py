@@ -13,8 +13,9 @@ Total objective: sample_infonce + lam * (structural_contrastive +
 reconstruction_penalty).  Both heads score pairs with one cosine similarity
 (`similarity`) and one max-shifted row log-sum-exp (`row_logsumexp`), which
 form their n x n intermediates one block of rows at a time (`row_blocks`), as
-the gradients and 1-NN's distances do.  Y^m is formed only in
-`view_embeddings`, the pairing only in `sample_logits`.
+the gradients and 1-NN's distances do.  In this module Y^m is formed only in
+`view_embeddings` (`evaluation.project` forms it for 1-NN), the pairing only
+in `sample_logits`.
 """
 
 from dataclasses import dataclass
@@ -22,7 +23,6 @@ from itertools import permutations
 
 import numpy as np
 
-from .data import view_offsets
 from .errors import DataError, NumericError
 
 _BLOCK_BYTES = 1 << 18  # one block of row_blocks' scratch; 256 KiB stays in L2 cache
@@ -42,7 +42,7 @@ class ProjectionStack:
         if self.P.shape[0] != sum(self.view_dims):
             raise DataError(
                 f"P has {self.P.shape[0]} rows, view dims sum to {sum(self.view_dims)}")
-        self.offsets = view_offsets(self.view_dims)
+        self.offsets = [int(o) for o in np.cumsum([0, *self.view_dims])[:-1]]
 
     def block(self, m):
         """The per-view projection P_m (D_m x d)."""

@@ -157,8 +157,11 @@ def fit(ds, h, seed):
 
 def save_model(model, directory, view_names=None):
     """Write the model as a JSON manifest plus one CSV per view projection."""
-    os.makedirs(directory, exist_ok=True)
     view_names = view_names or [f"view{m}" for m in range(len(model.projections))]
+    if len(view_names) != len(model.projections):
+        raise ConfigError(f"{len(view_names)} view names for "
+                          f"{len(model.projections)} projections")
+    os.makedirs(directory, exist_ok=True)
     files = []
     for name, Pm in zip(view_names, model.projections):
         fname = f"projection_{name}.csv"
@@ -183,6 +186,9 @@ def load_model(model_dir):
         h = Hyperparams(**manifest["hyperparams"])
         shapes = [(dim, manifest["d"]) for dim in manifest["view_dims"]]
         paths = [os.path.join(model_dir, f) for f in manifest["projection_files"]]
+        if len(paths) != len(shapes):
+            raise DataError(f"model manifest {path}: {len(paths)} projection_files "
+                            f"for {len(shapes)} view_dims")
     except KeyError as exc:
         raise DataError(f"model manifest {path} lacks key {exc}") from None
     except (TypeError, ConfigError) as exc:
@@ -192,7 +198,5 @@ def load_model(model_dir):
         Pm = read_matrix(p)
         if Pm.shape != shape:
             raise DataError(f"{p}: shape {Pm.shape} does not match manifest")
-        if not np.all(np.isfinite(Pm)):
-            raise DataError(f"{p}: projection contains non-finite entries")
         projections.append(Pm)
     return Model(projections=projections, hyper=h, meta=manifest.get("meta", {}))

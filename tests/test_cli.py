@@ -409,6 +409,11 @@ BAD_MATRIX_FILES = {
     "comment line": "# header\n1,2,3,4\n",
     "empty file": "",
     "all-blank file": "\n  \n\t\n",
+    # 8 rows, as many as the other view: only the cell is at fault
+    "NaN cell": "1,2,3,4\n" * 7 + "5,nan,7,8\n",
+    "infinite cell": "1,2,3,inf\n" + "5,6,7,8\n" * 7,
+    "negative infinite cell": "1,2,3,4\n" * 4 + "-inf,6,7,8\n" * 4,
+    "overflowing cell": "1,2,3,4\n" * 5 + "5,6,1e999,8\n" * 3,
 }
 
 BAD_MODEL_FILES = {
@@ -421,6 +426,8 @@ BAD_MODEL_FILES = {
         '"gamma":', '"gamma": 0.5, "gamma":')),
     "non-numeric projection": ("projection_view0.csv",
                                lambda text: "1,0\n0,x\n0,0\n0,0\n"),
+    "view_dims one short": ("manifest.json", lambda text: json.dumps(
+        dict(json.loads(text), view_dims=[4]))),
     "non-finite projection": ("projection_view0.csv",
                               lambda text: "1,0\n0,nan\n0,0\n0,inf\n"),
 }

@@ -14,7 +14,6 @@ import mvcontrast as mv
 from mvcontrast import data
 from mvcontrast.cli import main
 from mvcontrast.config import build_config
-from mvcontrast.data import view_offsets
 from mvcontrast.errors import ConfigError, DataError, MvError
 
 
@@ -65,6 +64,14 @@ class TestLoadViews:
                            tmp_path / "labels.csv")
         assert np.array_equal(ds.views[0], [[1, 3, 5], [2, 4, 6]])
         assert np.array_equal(ds.labels, [0, 1, 0])
+
+    def test_non_finite_cell_named(self, tmp_path):
+        # rows count from 1 and skip blank lines, as numpy's ragged-row message does
+        path = tmp_path / "a.csv"
+        path.write_text("\n1,2,3\n  \n4,nan,6\n7,8,inf\n")
+        with pytest.raises(DataError, match=re.escape(
+                f"{path}: non-finite value at row 2, column 2")):
+            data.read_matrix(path)
 
     def test_roundtrip_exact(self, tmp_path):
         ds = mv.synth_blobs(2, 3, 4, [3, 2], 0.7, 5)
@@ -196,20 +203,23 @@ class TestPerFileWorkers:
         return [tmp_path / "a.csv", tmp_path / "b.csv"]
 
     def test_ragged_second_view(self, tmp_path, capsys, forked, monkeypatch):
-        paths = self.ragged_pair(tmp_path, "1,2,3")
-        cfg = views_config(tmp_path, paths)
-        with pytest.raises(DataError) as in_worker:
-            mv.load_views(paths)
-        assert multiprocessing.active_children() == []
-        assert main(["eval", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
-        worker_err = capsys.readouterr().err
-        monkeypatch.setattr(data, "_FORK_MIN_BYTES", 1 << 40)
-        with pytest.raises(DataError) as serial:
-            mv.load_views(paths)
-        assert str(in_worker.value) == str(serial.value)
-        assert "b.csv" in str(serial.value)
-        assert main(["eval", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
-        assert worker_err == capsys.readouterr().err
+        # a ragged row, then a non-finite cell: numpy's check, then read_matrix's
+        for second in ("1,2,3", "2.5,nan"):
+            monkeypatch.setattr(data, "_FORK_MIN_BYTES", 0)
+            paths = self.ragged_pair(tmp_path, second)
+            cfg = views_config(tmp_path, paths)
+            with pytest.raises(DataError) as in_worker:
+                mv.load_views(paths)
+            assert multiprocessing.active_children() == []
+            assert main(["eval", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+            worker_err = capsys.readouterr().err
+            monkeypatch.setattr(data, "_FORK_MIN_BYTES", 1 << 40)
+            with pytest.raises(DataError) as serial:
+                mv.load_views(paths)
+            assert str(in_worker.value) == str(serial.value)
+            assert "b.csv" in str(serial.value)
+            assert main(["eval", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+            assert worker_err == capsys.readouterr().err
 
     def test_first_bad_view_named(self, tmp_path, forked):
         # the smaller, first file is the one a worker reads
@@ -298,7 +308,7 @@ class TestPerFileWorkers:
 
 class TestViewOffsets:
     def test_offsets(self):
-        assert view_offsets([3, 2, 4]) == [0, 3, 5]
+        assert mv.ProjectionStack(np.zeros((9, 2)), [3, 2, 4]).offsets == [0, 3, 5]
 
 
 class TestSplit:
@@ -463,6 +473,23 @@ class TestDatasetValidation:
         with pytest.raises(DataError, match="none of labels, Mean or fused"):
             mv.MultiViewDataset(views=[np.ones((2, 3)), np.ones((2, 3))],
                                 view_names=[name, "b"])
+
+    # labels are read as load_views reads a label file: integers below 2**53
+    @pytest.mark.parametrize("labels", [[0.5, 1.7, 2.2], [np.nan, 1, 2],
+                                        [1e300, 1, 2], ["a", "b", "c"]],
+                             ids=["fractional", "NaN", "huge", "strings"])
+    def test_non_integer_labels_rejected(self, labels):
+        with pytest.raises(DataError, match="labels must be integers"):
+            mv.MultiViewDataset(views=[np.ones((2, 3)), np.ones((2, 3))],
+                                labels=labels)
+
+    @pytest.mark.parametrize("labels", [[0, 1, 2], [0.0, 1.0, 2.0],
+                                        [False, True, True]])
+    def test_integral_labels_kept(self, labels):
+        ds = mv.MultiViewDataset(views=[np.ones((2, 3)), np.ones((2, 3))],
+                                 labels=labels)
+        assert ds.labels.dtype == int
+        assert ds.labels.tolist() == np.asarray(labels).astype(int).tolist()
 
     def test_label_length_mismatch(self):
         with pytest.raises(DataError, match="labels"):

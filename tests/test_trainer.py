@@ -320,3 +320,10 @@ class TestModelPersistence:
         assert manifest["d"] == 2
         assert manifest["meta"]["seed"] == 3
         assert manifest["hyperparams"]["gamma"] == 0.001
+
+    def test_one_name_per_projection(self, tmp_path):
+        model = mv.Model(projections=[np.eye(3)[:, :2], np.eye(3)[:, 1:]],
+                         hyper=hyper(), meta={})
+        with pytest.raises(mv.ConfigError, match="1 view names for 2 projections"):
+            mv.save_model(model, tmp_path / "model", view_names=["only"])
+        assert not (tmp_path / "model").exists()
