@@ -11,7 +11,6 @@ Subcommands:
 """
 
 import argparse
-import dataclasses
 import os
 import sys
 
@@ -58,28 +57,12 @@ def cmd_eval(args):
     cfg, out = _config_and_output_dir(args)
     ds = cfg.load_dataset()
     fixed_model = trainer.load_model(args.model) if args.model else None
-    exp = cfg.experiment
-    # a fixed model ignores d, so each d would repeat the same protocol
-    d_values = (exp["d_sweep"] if exp["d_sweep"] and fixed_model is None
-                else [cfg.hyper.d])
-    best_tables = []
-    for M in exp["M"]:
-        candidates = []
-        for d in d_values:
-            candidates.append(evaluation.run_experiment(
-                ds, dataclasses.replace(cfg.hyper, d=d), M=M, repeats=exp["repeats"],
-                base_seed=exp["base_seed"], fixed_model=fixed_model))
-        # d sweep keeps the table with the best Mean-row accuracy
-        best_tables.append(max(
-            candidates,
-            key=lambda t: [r["mean"] for r in t.rows if r["row_label"] == "Mean"]))
-    table = evaluation.merge_tables(best_tables)
-    if "csv" in cfg.output["formats"]:
-        with open(os.path.join(out, "results.csv"), "w", encoding="utf-8") as fh:
-            fh.write(table.to_csv())
-    if "txt" in cfg.output["formats"]:
-        with open(os.path.join(out, "results.txt"), "w", encoding="utf-8") as fh:
-            fh.write(table.to_text())
+    table = evaluation.run_protocol(ds, cfg.hyper, **cfg.experiment,
+                                    fixed_model=fixed_model)
+    for fmt, text in (("csv", table.to_csv()), ("txt", table.to_text())):
+        if fmt in cfg.output["formats"]:
+            with open(os.path.join(out, f"results.{fmt}"), "w", encoding="utf-8") as fh:
+                fh.write(text)
     cfg.write_echo(out)
     print(table.to_text(), end="")
     return 0

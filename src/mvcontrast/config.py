@@ -10,9 +10,9 @@ import inspect
 import os
 from dataclasses import dataclass, fields
 
-from . import data
+from . import data, evaluation
 from .errors import ConfigError
-from .params import Hyperparams, _integer, _integers, _require
+from .params import Hyperparams, _require
 
 # exactly one of views and synth is given
 _DATASET_DEFAULTS = {
@@ -32,12 +32,10 @@ _HYPER_DEFAULTS = {("lambda" if f.name == "lam" else f.name):
                    (2 if f.name == "d" else f.default)
                    for f in fields(Hyperparams)}
 
+# run_protocol's own defaults; evaluation._protocol_args checks the section
 _EXPERIMENT_DEFAULTS = {
-    "M": [4],
-    "repeats": 5,
-    "base_seed": 0,
-    "d_sweep": None,
-}
+    name: inspect.signature(evaluation.run_protocol).parameters[name].default
+    for name in inspect.signature(evaluation._protocol_args).parameters}
 
 _OUTPUT_DEFAULTS = {
     "dir": ".",
@@ -118,13 +116,8 @@ def build_config(raw):
     hyper = _merge("hyper", _HYPER_DEFAULTS, raw.get("hyper", {}))
     hyper["lam"] = hyper.pop("lambda")
 
-    exp = _merge("experiment", _EXPERIMENT_DEFAULTS, raw.get("experiment", {}))
-    M = exp["M"]  # a single M is a list of one
-    exp["M"] = _integers("experiment.M", M if isinstance(M, list) else [M], 1)
-    for key, low in (("repeats", 1), ("base_seed", 0)):
-        exp[key] = _integer(f"experiment.{key}", exp[key], low)
-    if exp["d_sweep"] not in (None, []):  # an empty sweep evaluates hyper.d alone
-        exp["d_sweep"] = _integers("experiment.d_sweep", exp["d_sweep"], 1)
+    exp = evaluation._protocol_args(
+        **_merge("experiment", _EXPERIMENT_DEFAULTS, raw.get("experiment", {})))
 
     output = _merge("output", _OUTPUT_DEFAULTS, raw.get("output", {}))
     _require(isinstance(output["dir"], str), "output.dir", "a directory path",

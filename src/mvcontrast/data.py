@@ -12,6 +12,7 @@ core.  A synthetic view fits numpy's address space.
 import itertools
 import json
 import os
+import re
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -118,10 +119,13 @@ def read_matrix(path):
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
-        # ragged row, non-numeric cell or bad UTF-8; numpy names row and column
-        raise DataError(f"{path}: {exc}") from None
+        # ragged row, non-numeric cell or bad UTF-8; numpy counts a ragged row
+        # from 1 but a non-numeric cell's row from 0, so that row is shifted
+        message = re.sub(r"at row (\d+), column",
+                         lambda m: f"at row {int(m[1]) + 1}, column", str(exc))
+        raise DataError(f"{path}: {message}") from None
     if not np.isfinite(M).all():  # nan, inf or a cell past the double range
-        # counted as numpy's messages count them: from 1, blank lines skipped
+        # rows and columns from 1, blank lines skipped, as in numpy's messages
         r, c = np.argwhere(~np.isfinite(M))[0] + 1
         raise DataError(f"{path}: non-finite value at row {r}, column {c}")
     return M

@@ -7,7 +7,7 @@ Accuracies are aggregated over repeats as mean and population standard
 deviation.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -156,3 +156,38 @@ def merge_tables(tables):
     for t in tables:
         merged.rows.extend(t.rows)
     return merged
+
+
+def _protocol_args(M, repeats, base_seed, d_sweep):
+    """run_protocol's section arguments as a dict, checked as a config's experiment
+    section: a single M is a list of one, and no M or d_sweep entry repeats."""
+    key = "experiment.{}".format
+    M = params._integers(key("M"), M if isinstance(M, (list, tuple)) else [M], 1)
+    repeats = params._integer(key("repeats"), repeats, 1)
+    base_seed = params._integer(key("base_seed"), base_seed, 0)
+    if d_sweep not in (None, []):  # an empty sweep evaluates h.d alone
+        d_sweep = params._integers(key("d_sweep"), d_sweep, 1)
+    for name, values in (("M", M), ("d_sweep", d_sweep or [])):
+        params._require(len(set(values)) == len(values), key(name),
+                        "a list of distinct integers", values)
+    return dict(M=M, repeats=repeats, base_seed=base_seed, d_sweep=d_sweep)
+
+
+def run_protocol(ds, h, M=4, repeats=5, base_seed=0, d_sweep=None, fixed_model=None):
+    """run_experiment per M and per d of d_sweep (h.d alone if it is empty),
+    merging per M the table of the best Mean row, the first d on a tie; the
+    defaults and checks are the config's experiment section."""
+    M, repeats, base_seed, d_sweep = _protocol_args(M, repeats, base_seed,
+                                                    d_sweep).values()
+    hypers = [h]  # a fixed model has one d, so each d would repeat the protocol
+    if fixed_model is None:
+        hypers = [replace(h, d=d) for d in d_sweep or [h.d]]
+        for hd in hypers:  # before the first fit, not at the first fit of hd
+            hd.validate_dims(ds.view_dims)
+    best = []
+    for m in M:
+        tables = [run_experiment(ds, hd, M=m, repeats=repeats, base_seed=base_seed,
+                                 fixed_model=fixed_model) for hd in hypers]
+        best.append(max(tables, key=lambda t: [
+            r["mean"] for r in t.rows if r["row_label"] == "Mean"]))
+    return merge_tables(best)

@@ -527,6 +527,9 @@ BAD_CONFIGS = {
     "base_seed as a string": {"dataset": {"synth": {}},
                               "experiment": {"base_seed": "x"}},
     "d_sweep as a number": {"dataset": {"synth": {}}, "experiment": {"d_sweep": 5}},
+    "repeated M": {"dataset": {"synth": {}}, "experiment": {"M": [3, 3]}},
+    "repeated d_sweep entry": {"dataset": {"synth": {}},
+                               "experiment": {"d_sweep": [2, 1, 2]}},
     "synth dims as a number": {"dataset": {"synth": {"dims": 8}}},
     "fractional synth per_class": {"dataset": {"synth": {"per_class": 2.5}}},
     "synth noise_sigma as a string": {"dataset": {"synth": {"noise_sigma": "a"}}},

@@ -46,7 +46,7 @@ class TestLoadViews:
         write_csv(tmp_path / "a.csv", np.ones((3, 2)).tolist())
         write_csv(tmp_path / "b.csv", np.ones((3, 2)).tolist())
         (tmp_path / "labels.csv").write_text("0\ncat\n1\n")
-        with pytest.raises(DataError, match="row 1"):
+        with pytest.raises(DataError, match="row 2, column 1"):
             mv.load_views([tmp_path / "a.csv", tmp_path / "b.csv"],
                           tmp_path / "labels.csv")
 
@@ -72,6 +72,20 @@ class TestLoadViews:
         with pytest.raises(DataError, match=re.escape(
                 f"{path}: non-finite value at row 2, column 2")):
             data.read_matrix(path)
+
+    @pytest.mark.parametrize(
+        "text", ["{},2\n3,4\n", "1,2\n3,{}\n", "1,2\n\n3,4\n{},6\n"],
+        ids=["first line", "second line", "after a blank line"])
+    def test_non_numeric_cell_numbered_as_non_finite(self, tmp_path, text):
+        # one row numbering for every cell: a word is reported where a nan is
+        where = []
+        for cell in ("x", "nan"):
+            path = tmp_path / f"{cell}.csv"
+            path.write_text(text.format(cell))
+            with pytest.raises(DataError) as exc:
+                data.read_matrix(path)
+            where.append(re.search(r"at row \d+, column \d+", str(exc.value))[0])
+        assert where[0] == where[1]
 
     def test_roundtrip_exact(self, tmp_path):
         ds = mv.synth_blobs(2, 3, 4, [3, 2], 0.7, 5)

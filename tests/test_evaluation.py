@@ -233,3 +233,47 @@ class TestMergeTables:
         merged = merge_tables([t1, t2])
         assert len(merged.rows) == len(t1.rows) + len(t2.rows)
         assert {r["M"] for r in merged.rows} == {2, 3}
+
+
+class TestRunProtocol:
+    def test_every_d_checked_before_fitting(self, monkeypatch):
+        ds = mv.synth_blobs(2, 3, 6, [4, 4], 0.3, 0)
+        fits = []
+        fit = mv.trainer.fit
+        monkeypatch.setattr(mv.trainer, "fit",
+                            lambda *a, **kw: fits.append(a) or fit(*a, **kw))
+        with pytest.raises(ConfigError, match="^embedding dimension d=9 exceeds"):
+            mv.run_protocol(ds, mv.Hyperparams(d=2, max_iters=300), M=[3, 5],
+                            repeats=3, d_sweep=[1, 2, 9])
+        assert fits == []
+
+    def test_fixed_model_ignores_the_sweep(self):
+        ds = mv.synth_blobs(2, 3, 6, [4, 4], 0.0, 0)
+        model = make_model([np.eye(4)[:, :2], np.eye(4)[:, :2]])
+        table = mv.run_protocol(ds, mv.Hyperparams(d=2), M=2, repeats=1,
+                                d_sweep=[9], fixed_model=model)
+        labels = [r["row_label"] for r in table.rows]
+        assert labels == ["view0", "view1", "Mean", "fused"]
+
+    @pytest.mark.parametrize("key,value", [("M", [3, 2, 3]), ("d_sweep", [2, 2])])
+    def test_repeated_entry_named(self, key, value):
+        ds = mv.synth_blobs(2, 3, 6, [4, 4], 0.3, 0)
+        with pytest.raises(ConfigError, match=f"^experiment.{key} must be a list of "
+                                              "distinct integers"):
+            mv.run_protocol(ds, mv.Hyperparams(d=2), **{key: value})
+
+    def test_best_mean_row_per_M_first_d_on_a_tie(self, monkeypatch):
+        # Mean accuracy by (M, d): M=2 peaks at d=3, M=3 ties between d=1 and d=3
+        mean = {(2, 1): 0.5, (2, 2): 0.6, (2, 3): 0.7,
+                (3, 1): 0.8, (3, 2): 0.4, (3, 3): 0.8}
+
+        def fake_experiment(ds, h, M, repeats, base_seed, fixed_model=None):
+            table = mv.ResultsTable(repeats=repeats)
+            table.add("Mean", M, [mean[M, h.d]])
+            table.rows[0]["d"] = h.d
+            return table
+
+        monkeypatch.setattr(mv.evaluation, "run_experiment", fake_experiment)
+        ds = mv.synth_blobs(2, 3, 6, [4, 4], 0.3, 0)
+        table = mv.run_protocol(ds, mv.Hyperparams(d=2), M=[2, 3], d_sweep=[1, 2, 3])
+        assert [(r["M"], r["d"]) for r in table.rows] == [(2, 3), (3, 1)]
