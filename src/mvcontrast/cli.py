@@ -32,8 +32,8 @@ def _config_and_output_dir(args):
 def cmd_synth(args):
     cfg = parse_config(args.config)
     if cfg.dataset["synth"] is None:
-        raise MvError("synth subcommand needs a dataset.synth section")
-    ds = cfg.load_dataset()
+        raise ConfigError("synth subcommand needs a dataset.synth section")
+    ds = data.load_dataset(**cfg.dataset)
     data.save_views(ds, args.out)
     cfg.write_echo(args.out)
     print(f"wrote {ds.V} views ({ds.n} samples) to {args.out}")
@@ -42,7 +42,7 @@ def cmd_synth(args):
 
 def cmd_train(args):
     cfg, out = _config_and_output_dir(args)
-    ds = cfg.load_dataset()
+    ds = data.load_dataset(**cfg.dataset)
     model, state = trainer.fit(ds, cfg.hyper, seed=cfg.experiment["base_seed"])
     trainer.save_model(model, out, view_names=ds.view_names)
     data.write_matrix(os.path.join(out, "loss_history.csv"),
@@ -55,7 +55,7 @@ def cmd_train(args):
 
 def cmd_eval(args):
     cfg, out = _config_and_output_dir(args)
-    ds = cfg.load_dataset()
+    ds = data.load_dataset(**cfg.dataset)
     fixed_model = trainer.load_model(args.model) if args.model else None
     table = evaluation.run_protocol(ds, cfg.hyper, **cfg.experiment,
                                     fixed_model=fixed_model)

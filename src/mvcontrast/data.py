@@ -1,4 +1,4 @@
-"""Multi-view data: the file codec, validation, synthesis, splitting.
+"""Multi-view data: the file codec, validation, synthesis, splitting, loading.
 
 Every file but the results table is read and written here: CSV matrices, of
 finite numbers only, by `read_matrix`/`write_matrix`; the config, `run.json`
@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, DataError, MvError
-from .params import _integer, _integers, _is_number, _require
+from .params import _defaults, _integer, _integers, _is_number, _merge, _require
 
 # A file below this many CSV bytes is read or written in the calling process.
 # Forking a worker and piping its array back costs about 10 ms on a 2-core
@@ -377,3 +377,37 @@ def standardize(ds):
         views.append((v - mu) / sd)
     return MultiViewDataset(views=views, labels=ds.labels,
                             view_names=list(ds.view_names))
+
+
+def _dataset_args(views, labels, synth, standardize):
+    """load_dataset's arguments as a dict, checked as a config's dataset section:
+    exactly one of views and synth, synth merged with synth_blobs' defaults."""
+    if (views is None) == (synth is None):
+        raise ConfigError(
+            "dataset section must contain exactly one of 'views' or 'synth'")
+    _require(labels is None or isinstance(labels, str), "dataset.labels",
+             "a file path", labels)
+    _require(isinstance(standardize, bool), "dataset.standardize",
+             "true or false", standardize)
+    if views is None:
+        if labels is not None:
+            raise ConfigError("dataset.labels cannot be given with dataset.synth")
+        synth = _synth_args(**_merge("dataset.synth",
+                                     _defaults(synth_blobs, _synth_args), synth))
+    else:
+        # one view has no other view to contrast with, as synth.V = 1
+        _require(isinstance(views, list) and len(views) >= 2, "dataset.views",
+                 "a list of at least 2 file paths", views)
+        views = [_require(isinstance(p, str), "dataset.views", "file paths", p)
+                 for p in views]
+    return dict(views=views, labels=labels, synth=synth, standardize=standardize)
+
+
+def load_dataset(views=None, labels=None, synth=None, standardize=False):
+    """load_views(views, labels) or synth_blobs(**synth), standardized if asked;
+    the defaults and checks are the config's dataset section."""
+    views, labels, synth, scaled = _dataset_args(views, labels, synth,
+                                                 standardize).values()
+    ds = load_views(views, labels) if synth is None else synth_blobs(**synth)
+    # the flag's name hides this module's standardize function
+    return globals()["standardize"](ds) if scaled else ds

@@ -184,6 +184,10 @@ def run_protocol(ds, h, M=4, repeats=5, base_seed=0, d_sweep=None, fixed_model=N
         hypers = [replace(h, d=d) for d in d_sweep or [h.d]]
         for hd in hypers:  # before the first fit, not at the first fit of hd
             hd.validate_dims(ds.view_dims)
+    if ds.labels is not None:  # else split says that it needs them
+        smallest = np.unique(ds.labels, return_counts=True)[1].min()
+        params._require(max(M) < smallest, "experiment.M", "a list of integers "
+                        f"below the smallest class size {smallest}", M)
     best = []
     for m in M:
         tables = [run_experiment(ds, hd, M=m, repeats=repeats, base_seed=base_seed,

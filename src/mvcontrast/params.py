@@ -1,5 +1,6 @@
 """Hyperparameters for the dual contrastive objective and its optimizer."""
 
+import inspect
 import math
 import numbers
 from dataclasses import dataclass, fields
@@ -12,6 +13,24 @@ def _require(ok, name, what, value):
     if not ok:
         raise ConfigError(f"{name} must be {what}, got {value!r}")
     return value
+
+
+def _merge(section_name, defaults, given):
+    """`defaults` updated from the JSON object `given`, which adds no key."""
+    _require(isinstance(given, dict), f"section '{section_name}'", "a JSON object",
+             given)
+    merged = dict(defaults)
+    for key, value in given.items():
+        if key not in defaults:
+            raise ConfigError(f"unknown key '{key}' in section '{section_name}'")
+        merged[key] = value
+    return merged
+
+
+def _defaults(owner, checker):
+    """`owner`'s defaults for the parameters of `checker`: a config section's."""
+    given = inspect.signature(owner).parameters
+    return {name: given[name].default for name in inspect.signature(checker).parameters}
 
 
 def _is_number(value):
@@ -59,7 +78,7 @@ class Hyperparams:
         Cap on outer iterations.
     """
 
-    d: int
+    d: int = 2
     lam: float = 1.0
     alpha: float = 1.0
     beta: float = 1.0

@@ -57,6 +57,9 @@ class TestBuildConfig:
         assert cfg.output["dir"] == "."
         assert cfg.output["formats"] == ["csv", "txt"]
 
+    def test_hyper_defaults_are_the_library_defaults(self):
+        assert build_config({"dataset": {"synth": {}}}).hyper == mv.Hyperparams()
+
     def test_lambda_key_maps_to_lam(self):
         cfg = build_config({"dataset": {"synth": {}}, "hyper": {"lambda": 2.5}})
         assert cfg.hyper.lam == 2.5
@@ -181,7 +184,7 @@ class TestSynthTrainEval:
         cfg, out = write_config(tmp_path / "c.json", SYNTH_SMALL), tmp_path / "m"
         assert main(["train", "--config", cfg, "--out", str(out)]) == 0
         run = build_config(SYNTH_SMALL)
-        _, state = mv.fit(run.load_dataset(), run.hyper,
+        _, state = mv.fit(mv.load_dataset(**run.dataset), run.hyper,
                           seed=run.experiment["base_seed"])
         assert (out / "loss_history.csv").read_text() == "iteration,total_loss\n" + \
             "".join(f"{i},{v:.17g}\n" for i, v in enumerate(state.loss_history))
@@ -311,6 +314,12 @@ class TestGradcheckDiagnose:
         cfg = write_config(tmp_path / "c.json", {"dataset": {}})
         assert main(["gradcheck", "--config", cfg]) == 1
         assert "error: ConfigError" in capsys.readouterr().err
+
+    def test_synth_without_synth_section_exit_1(self, tmp_path, capsys):
+        cfg, _, _ = write_file_dataset(tmp_path)
+        assert main(["synth", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert ("error: ConfigError: synth subcommand needs a dataset.synth section"
+                in capsys.readouterr().err)
 
     def test_missing_view_file_exit_2(self, tmp_path, capsys):
         views = [str(tmp_path / "nope.csv"), str(tmp_path / "nope2.csv")]

@@ -456,9 +456,40 @@ class TestSynthBlobs:
 
     def test_defaults_are_the_config_defaults(self):
         ours = mv.synth_blobs()
-        config = build_config({"dataset": {"synth": {}}}).load_dataset()
+        config = mv.load_dataset(**build_config({"dataset": {"synth": {}}}).dataset)
         assert all(np.array_equal(a, b) for a, b in zip(ours.views, config.views))
         assert ours.view_dims == [8, 8] and ours.n == 30
+
+
+class TestLoadDataset:
+    @pytest.mark.parametrize("kw,message", [
+        ({}, "dataset section must contain exactly one of 'views' or 'synth'"),
+        (dict(views=["a.csv"]), "dataset.views must be a list of at least 2"),
+        (dict(views=["a.csv", 3]), "dataset.views must be file paths"),
+        (dict(synth={}, labels="l.csv"), "dataset.labels cannot be given"),
+        (dict(synth={}, standardize=1), "dataset.standardize must be true or false"),
+        (dict(synth={"V": 1}), "dataset.synth.V must be"),
+        (dict(synth={"dim": 3}), "unknown key 'dim' in section 'dataset.synth'"),
+    ], ids=["neither", "one view", "integer path", "labels with synth",
+            "integer standardize", "one synth view", "unknown synth key"])
+    def test_checked_as_the_config_checks(self, kw, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+            mv.load_dataset(**kw)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+            build_config({"dataset": kw})
+
+    def test_views_or_synth_standardized_if_asked(self, tmp_path):
+        ds = mv.synth_blobs(seed=3)
+        paths, label_path = mv.save_views(ds, tmp_path)
+        for got, want in [
+                (mv.load_dataset(synth={"seed": 3}), ds),
+                (mv.load_dataset(synth={"seed": 3}, standardize=True),
+                 mv.standardize(ds)),
+                (mv.load_dataset(views=paths, labels=label_path),
+                 mv.load_views(paths, label_path))]:
+            assert all(np.array_equal(a, b) for a, b in zip(got.views, want.views))
+            assert np.array_equal(got.labels, want.labels)
+            assert got.view_names == want.view_names
 
 
 class TestStandardize:

@@ -247,6 +247,19 @@ class TestRunProtocol:
                             repeats=3, d_sweep=[1, 2, 9])
         assert fits == []
 
+    def test_every_M_checked_before_fitting(self, monkeypatch):
+        ds = mv.synth_blobs(2, 2, 6, [4, 4], 0.3, 0)
+        fits = []
+        fit = mv.trainer.fit
+        monkeypatch.setattr(mv.trainer, "fit",
+                            lambda *a, **kw: fits.append(a) or fit(*a, **kw))
+        message = (r"^experiment.M must be a list of integers below the smallest "
+                   r"class size 6, got \[2, 3, 6\]$")
+        with pytest.raises(ConfigError, match=message):
+            mv.run_protocol(ds, mv.Hyperparams(d=2, max_iters=300), M=[2, 3, 6],
+                            repeats=3)
+        assert fits == []
+
     def test_fixed_model_ignores_the_sweep(self):
         ds = mv.synth_blobs(2, 3, 6, [4, 4], 0.0, 0)
         model = make_model([np.eye(4)[:, :2], np.eye(4)[:, :2]])

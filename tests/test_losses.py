@@ -172,6 +172,25 @@ class TestStructuralContrastive:
             assert fast >= 0.0
 
 
+    # With unit columns, |a - b|^2 = 2 - 2 a.b, so each anchor's term splits into
+    # an intra-pair scatter and a log-sum of inter-pair scatters:
+    # |w_i^m - w_i^v|^2 / (2 tau2) + log sum_k exp(-|w_i^m - w_k^v|^2 / (2 tau2)).
+    # norm_eps scales every similarity by 1 / (1 + norm_eps), which moves a term by
+    # at most 2 norm_eps / tau2 (its cosines differ by at most 2).
+    @pytest.mark.parametrize("norm_eps", [1e-300, 1e-12])
+    def test_unit_columns_split_into_intra_and_inter_scatter(self, norm_eps):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            n, tau2 = int(rng.integers(1, 20)), float(rng.uniform(0.1, 2.0))
+            Wm, Wv = (w / np.linalg.norm(w, axis=0)
+                      for w in rng.normal(size=(2, n, n)))
+            h = uniform_hyper(tau2=tau2, norm_eps=norm_eps)
+            sq = np.sum((Wm[:, :, None] - Wv[:, None, :]) ** 2, axis=0) / (2 * tau2)
+            scatter = np.diagonal(sq) + np.log(np.sum(np.exp(-sq), axis=1))
+            terms = mv.losses._structural_terms(Wm, Wv, h)
+            assert np.max(np.abs(terms - scatter)) <= 2 * norm_eps / tau2 + 1e-13
+
+
 class TestReconstructionPenalty:
     def test_zero_coefficients(self):
         ds, P, _ = random_instance(0)
