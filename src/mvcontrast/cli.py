@@ -21,14 +21,6 @@ from .config import parse_config
 from .errors import ConfigError, MvError, numeric_errors
 
 
-def _config_and_output_dir(args):
-    """Parse --config; create the output directory before any work is done."""
-    cfg = parse_config(args.config)
-    out = args.out or cfg.output["dir"]
-    os.makedirs(out, exist_ok=True)
-    return cfg, out
-
-
 def cmd_synth(args):
     cfg = parse_config(args.config)
     if cfg.dataset["synth"] is None:
@@ -41,28 +33,30 @@ def cmd_synth(args):
 
 
 def cmd_train(args):
-    cfg, out = _config_and_output_dir(args)
+    cfg = parse_config(args.config)
+    os.makedirs(args.out, exist_ok=True)  # a bad path fails before the fit
     ds = data.load_dataset(**cfg.dataset)
     model, state = trainer.fit(ds, cfg.hyper, seed=cfg.experiment["base_seed"])
-    trainer.save_model(model, out, view_names=ds.view_names)
-    data.write_matrix(os.path.join(out, "loss_history.csv"),
+    trainer.save_model(model, args.out, view_names=ds.view_names)
+    data.write_matrix(os.path.join(args.out, "loss_history.csv"),
                       [*enumerate(state.loss_history)], header="iteration,total_loss")
-    cfg.write_echo(out)
+    cfg.write_echo(args.out)
     print(f"trained {state.iter} iterations, final loss "
-          f"{state.loss_history[-1]:.6f}, model in {out}")
+          f"{state.loss_history[-1]:.6f}, model in {args.out}")
     return 0
 
 
 def cmd_eval(args):
-    cfg, out = _config_and_output_dir(args)
+    cfg = parse_config(args.config)
+    out = args.out or cfg.output["dir"]
+    os.makedirs(out, exist_ok=True)  # a bad path fails before the protocol
     ds = data.load_dataset(**cfg.dataset)
     fixed_model = trainer.load_model(args.model) if args.model else None
     table = evaluation.run_protocol(ds, cfg.hyper, **cfg.experiment,
                                     fixed_model=fixed_model)
-    for fmt, text in (("csv", table.to_csv()), ("txt", table.to_text())):
-        if fmt in cfg.output["formats"]:
-            with open(os.path.join(out, f"results.{fmt}"), "w", encoding="utf-8") as fh:
-                fh.write(text)
+    for fmt in cfg.output["formats"]:
+        with open(os.path.join(out, f"results.{fmt}"), "w", encoding="utf-8") as fh:
+            fh.write(evaluation.FORMATS[fmt](table))
     cfg.write_echo(out)
     print(table.to_text(), end="")
     return 0
@@ -168,6 +162,8 @@ def main(argv=None):
     except OSError as exc:
         # the readers wrap their own OSErrors, so this one came from an output
         error = ConfigError(f"cannot write output: {exc}")
+    except MemoryError as exc:  # numpy's names the allocation that failed
+        error = ConfigError(f"out of memory in {args.command}: {exc}")
     except MvError as exc:
         error = exc
     print(f"error: {type(error).__name__}: {error}", file=sys.stderr)

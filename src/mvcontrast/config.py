@@ -11,38 +11,16 @@ from dataclasses import dataclass
 
 from . import data, evaluation
 from .errors import ConfigError
-from .params import Hyperparams, _defaults, _merge, _require
-
-_LAM = "lambda"  # Hyperparams' lam, as the config spells it
-_FORMATS = ["csv", "txt"]  # every format eval writes
-
-
-def _hyper_section(h):
-    """Hyperparams as a config's hyper section."""
-    return {(_LAM if name == "lam" else name): value
-            for name, value in h.as_dict().items()}
-
-
-def _hyper_args(**section):
-    section["lam"] = section.pop(_LAM)
-    return Hyperparams(**section)
-
-
-def _output_args(dir=".", formats=_FORMATS):
-    """The output section, which only eval reads, as a dict."""
-    _require(isinstance(dir, str), "output.dir", "a directory path", dir)
-    _require(isinstance(formats, list) and all(f in _FORMATS for f in formats),
-             "output.formats", f"a list drawn from {_FORMATS}", formats)
-    return dict(dir=dir, formats=list(formats))
-
+from .params import Hyperparams, _defaults, _merge
 
 # each section's defaults and checker, in the order they are checked
 _SECTIONS = {
     "dataset": (_defaults(data.load_dataset, data._dataset_args), data._dataset_args),
-    "hyper": (_hyper_section(Hyperparams()), _hyper_args),
+    "hyper": (Hyperparams().as_section(), Hyperparams.from_section),
     "experiment": (_defaults(evaluation.run_protocol, evaluation._protocol_args),
                    evaluation._protocol_args),
-    "output": (_defaults(_output_args, _output_args), _output_args),
+    "output": (_defaults(evaluation._output_args, evaluation._output_args),
+               evaluation._output_args),
 }
 
 
@@ -58,7 +36,7 @@ class RunConfig:
 
     def write_echo(self, directory):
         """Write the resolved configuration, defaults included, to run.json."""
-        resolved = {"dataset": self.dataset, "hyper": _hyper_section(self.hyper),
+        resolved = {"dataset": self.dataset, "hyper": self.hyper.as_section(),
                     "experiment": self.experiment, "output": self.output}
         return data.write_json(os.path.join(directory, "run.json"), resolved)
 

@@ -139,15 +139,15 @@ def write_matrix(path, matrix, header=None):
     if matrix.ndim == 1:
         matrix = matrix[:, None]
     # %.17g round-trips IEEE-754 doubles exactly through text; Python floats
-    # format faster than numpy scalars, so rows are converted a block at a time
+    # format faster than numpy scalars, and a block of rows takes one `%`
     row_fmt = ",".join(["%.17g"] * matrix.shape[1]) + "\n"
     step = max(1, _WRITE_BLOCK_VALUES // max(1, matrix.shape[1]))
     with open(path, "w", encoding="utf-8") as fh:
         if header is not None:
             fh.write(header + "\n")
         for start in range(0, matrix.shape[0], step):
-            fh.write("".join([row_fmt % tuple(row)
-                              for row in matrix[start:start + step].tolist()]))
+            block = matrix[start:start + step]
+            fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _unique_keys(pairs):

@@ -112,6 +112,19 @@ class ResultsTable:
         return "\n".join(out) + "\n"
 
 
+# each format eval writes, as results.<format>, and its renderer
+FORMATS = {"csv": ResultsTable.to_csv, "txt": ResultsTable.to_text}
+
+
+def _output_args(dir=".", formats=[*FORMATS]):
+    """The config's output section, which only eval reads, as a dict."""
+    known = [*FORMATS]
+    params._require(isinstance(dir, str), "output.dir", "a directory path", dir)
+    params._require(isinstance(formats, list) and all(f in known for f in formats),
+                    "output.formats", f"a list drawn from {known}", formats)
+    return dict(dir=dir, formats=list(formats))
+
+
 def evaluate_split(Y, labels, train_idx, test_idx):
     """Accuracy per view, their mean, and the fused embedding, on the
     train_idx/test_idx split of every sample's per-view embeddings Y."""
@@ -174,12 +187,14 @@ def _protocol_args(M, repeats, base_seed, d_sweep):
 
 
 def run_protocol(ds, h, M=4, repeats=5, base_seed=0, d_sweep=None, fixed_model=None):
-    """run_experiment per M and per d of d_sweep (h.d alone if it is empty),
-    merging per M the table of the best Mean row, the first d on a tie; the
-    defaults and checks are the config's experiment section."""
+    """run_experiment per M and per d of d_sweep (h.d alone if it is empty, and
+    a fixed model's one d), merging per M the table of the best Mean row, the
+    first d on a tie; the defaults and checks are the config's experiment section."""
     M, repeats, base_seed, d_sweep = _protocol_args(M, repeats, base_seed,
                                                     d_sweep).values()
-    hypers = [h]  # a fixed model has one d, so each d would repeat the protocol
+    params._require(fixed_model is None or not d_sweep, "experiment.d_sweep",
+                    "empty with a fixed model, which has one d", d_sweep)
+    hypers = [h]
     if fixed_model is None:
         hypers = [replace(h, d=d) for d in d_sweep or [h.d]]
         for hd in hypers:  # before the first fit, not at the first fit of hd

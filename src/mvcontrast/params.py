@@ -113,3 +113,14 @@ class Hyperparams:
 
     def as_dict(self):
         return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def as_section(self):
+        """As a config's hyper section, which spells `lam` as `lambda`."""
+        return {("lambda" if name == "lam" else name): value
+                for name, value in self.as_dict().items()}
+
+    @classmethod
+    def from_section(cls, **section):
+        """From a config's hyper section, keyed as `as_section` keys it."""
+        section["lam"] = section.pop("lambda")
+        return cls(**section)

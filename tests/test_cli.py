@@ -12,6 +12,7 @@ import mvcontrast as mv
 from mvcontrast.cli import main
 from mvcontrast.config import build_config, parse_config
 from mvcontrast.errors import ConfigError, DataError
+from mvcontrast.evaluation import FORMATS
 
 
 def write_config(path, obj):
@@ -63,6 +64,13 @@ class TestBuildConfig:
     def test_lambda_key_maps_to_lam(self):
         cfg = build_config({"dataset": {"synth": {}}, "hyper": {"lambda": 2.5}})
         assert cfg.hyper.lam == 2.5
+
+    def test_hyper_section_round_trips(self):
+        h = mv.Hyperparams(d=3, lam=0.25, tol=float("inf"), max_iters=7)
+        section = h.as_section()
+        assert section["lambda"] == 0.25 and "lam" not in section
+        assert mv.Hyperparams.from_section(**section) == h
+        assert build_config({"dataset": {"synth": {}}, "hyper": section}).hyper == h
 
     def test_scalar_M_promoted_to_list(self):
         cfg = build_config({"dataset": {"synth": {}}, "experiment": {"M": 6}})
@@ -225,14 +233,14 @@ class TestSynthTrainEval:
         assert Ms == {"2", "3"}
 
     def test_eval_model_runs_once_per_M(self, tmp_path, capsys, monkeypatch):
-        # a fixed model ignores d, so a d sweep would only repeat the protocol
+        # a fixed model has one d, and an empty sweep runs it as no sweep does
         cfg, paths, label_path = write_file_dataset(tmp_path)
         calls = []
         run = mv.evaluation.run_experiment
         monkeypatch.setattr(mv.evaluation, "run_experiment",
                             lambda *a, **kw: calls.append(kw["M"]) or run(*a, **kw))
         tables = []
-        for d_sweep in (None, [1, 2, 3, 4]):
+        for d_sweep in (None, []):
             obj = dict(SYNTH_SMALL, dataset={"views": paths, "labels": label_path},
                        experiment={"M": [2, 3], "repeats": 2, "d_sweep": d_sweep})
             out = tmp_path / f"r{len(tables)}"
@@ -241,6 +249,19 @@ class TestSynthTrainEval:
             tables.append((out / "results.csv").read_bytes())
         assert calls == [2, 3, 2, 3]
         assert tables[0] == tables[1]
+
+    def test_eval_model_with_d_sweep_exit_1(self, tmp_path, capsys):
+        synth = {"classes": 3, "per_class": 8, "dims": [5, 4]}
+        mv.save_model(mv.Model(projections=[np.eye(5)[:, :2], np.eye(4)[:, :2]],
+                               hyper=mv.Hyperparams(d=2), meta={}),
+                      tmp_path / "model")
+        obj = {"dataset": {"synth": synth}, "experiment": {"d_sweep": [1, 2, 3]}}
+        out = tmp_path / "r"
+        assert main(["eval", "--config", write_config(tmp_path / "c.json", obj),
+                     "--model", str(tmp_path / "model"), "--out", str(out)]) == 1
+        assert ("error: ConfigError: experiment.d_sweep must be empty with a fixed "
+                "model, which has one d, got [1, 2, 3]") in capsys.readouterr().err
+        assert os.listdir(out) == []
 
     def test_mismatched_model_dims_exit_2(self, tmp_path, capsys, monkeypatch):
         cfg = write_config(tmp_path / "c.json", SYNTH_SMALL)
@@ -366,6 +387,39 @@ class TestGradcheckDiagnose:
         assert "error: NumericError: every step rounded to 0 in iteration 1" in \
             capsys.readouterr().err
         assert not (model / "manifest.json").exists()
+
+
+class TestFormats:
+    """evaluation.FORMATS is the one list of results formats."""
+
+    def test_every_format_accepted(self):
+        for fmt in FORMATS:
+            cfg = build_config({"dataset": {"synth": {}}, "output": {"formats": [fmt]}})
+            assert cfg.output["formats"] == [fmt]
+
+    def test_eval_writes_each_format_by_its_renderer(self, tmp_path, capsys,
+                                                     monkeypatch):
+        _, paths, label_path = write_file_dataset(tmp_path)
+        tables = []
+        run = mv.evaluation.run_protocol
+        monkeypatch.setattr(mv.evaluation, "run_protocol",
+                            lambda *a, **kw: tables.append(run(*a, **kw)) or tables[-1])
+        obj = dict(SYNTH_SMALL, dataset={"views": paths, "labels": label_path},
+                   output={"formats": [*FORMATS]})
+        out = tmp_path / "r"
+        assert main(["eval", "--config", write_config(tmp_path / "c2.json", obj),
+                     "--model", str(tmp_path / "model"), "--out", str(out)]) == 0
+        assert sorted(os.listdir(out)) == sorted(
+            ["run.json", *(f"results.{fmt}" for fmt in FORMATS)])
+        for fmt, render in FORMATS.items():
+            assert (out / f"results.{fmt}").read_text() == render(tables[0])
+
+    def test_unknown_format_message(self):
+        with pytest.raises(ConfigError, match=re.escape(
+                "output.formats must be a list drawn from ['csv', 'txt'], "
+                "got ['csv', 'pdf']")):
+            build_config({"dataset": {"synth": {}},
+                          "output": {"formats": ["csv", "pdf"]}})
 
 
 class TestUnwritableOutput:
@@ -552,6 +606,25 @@ def test_bad_config_exit_1(tmp_path, capsys, obj):
     cfg = write_config(tmp_path / "c.json", obj)
     assert main(["gradcheck", "--config", cfg]) == 1
     assert "error: ConfigError" in capsys.readouterr().err
+
+
+def test_out_of_memory_exit_1(tmp_path):
+    # the child caps its own address space at 2 GiB; init_state's 30000 x 30000
+    # W needs 6.7 GiB
+    resource = pytest.importorskip("resource")
+    cfg = write_config(tmp_path / "c.json", {"dataset": {"synth": {
+        "classes": 3, "per_class": 10000, "dims": [8, 8]}}})
+    cap = 2 << 30
+    proc = subprocess.run(
+        [sys.executable, "-m", "mvcontrast.cli", "train", "--config", cfg,
+         "--out", str(tmp_path / "m")], capture_output=True, text=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        # one BLAS thread, so that its buffers fit under the cap on any core count
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path),
+                 OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1"))
+    assert proc.returncode == 1, proc.stderr
+    assert "error: ConfigError: out of memory in train: " in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_cli_import_loads_no_scipy():

@@ -260,13 +260,24 @@ class TestRunProtocol:
                             repeats=3)
         assert fits == []
 
-    def test_fixed_model_ignores_the_sweep(self):
+    def test_fixed_model_rejects_a_sweep(self, monkeypatch):
         ds = mv.synth_blobs(2, 3, 6, [4, 4], 0.0, 0)
         model = make_model([np.eye(4)[:, :2], np.eye(4)[:, :2]])
-        table = mv.run_protocol(ds, mv.Hyperparams(d=2), M=2, repeats=1,
-                                d_sweep=[9], fixed_model=model)
-        labels = [r["row_label"] for r in table.rows]
-        assert labels == ["view0", "view1", "Mean", "fused"]
+        scored = []
+        run = mv.evaluation.run_experiment
+        monkeypatch.setattr(mv.evaluation, "run_experiment",
+                            lambda *a, **kw: scored.append(kw["M"]) or run(*a, **kw))
+        with pytest.raises(ConfigError, match=r"^experiment.d_sweep must be empty "
+                           r"with a fixed model, which has one d, got \[1, 2\]$"):
+            mv.run_protocol(ds, mv.Hyperparams(d=2), M=2, repeats=1,
+                            d_sweep=[1, 2], fixed_model=model)
+        assert scored == []
+        for d_sweep in (None, []):
+            table = mv.run_protocol(ds, mv.Hyperparams(d=2), M=2, repeats=1,
+                                    d_sweep=d_sweep, fixed_model=model)
+            labels = [r["row_label"] for r in table.rows]
+            assert labels == ["view0", "view1", "Mean", "fused"]
+        assert scored == [2, 2]
 
     @pytest.mark.parametrize("key,value", [("M", [3, 2, 3]), ("d_sweep", [2, 2])])
     def test_repeated_entry_named(self, key, value):
