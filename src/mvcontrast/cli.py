@@ -21,8 +21,7 @@ from .config import parse_config
 from .errors import ConfigError, MvError, numeric_errors
 
 
-def cmd_synth(args):
-    cfg = parse_config(args.config)
+def cmd_synth(args, cfg):
     if cfg.dataset["synth"] is None:
         raise ConfigError("synth subcommand needs a dataset.synth section")
     ds = data.load_dataset(**cfg.dataset)
@@ -32,12 +31,11 @@ def cmd_synth(args):
     return 0
 
 
-def cmd_train(args):
-    cfg = parse_config(args.config)
+def cmd_train(args, cfg):
     os.makedirs(args.out, exist_ok=True)  # a bad path fails before the fit
     ds = data.load_dataset(**cfg.dataset)
     model, state = trainer.fit(ds, cfg.hyper, seed=cfg.experiment["base_seed"])
-    trainer.save_model(model, args.out, view_names=ds.view_names)
+    trainer.save_model(model, args.out)
     data.write_matrix(os.path.join(args.out, "loss_history.csv"),
                       [*enumerate(state.loss_history)], header="iteration,total_loss")
     cfg.write_echo(args.out)
@@ -46,18 +44,17 @@ def cmd_train(args):
     return 0
 
 
-def cmd_eval(args):
-    cfg = parse_config(args.config)
-    out = args.out or cfg.output["dir"]
-    os.makedirs(out, exist_ok=True)  # a bad path fails before the protocol
+def cmd_eval(args, cfg):
+    os.makedirs(args.out, exist_ok=True)  # a bad path fails before the protocol
     ds = data.load_dataset(**cfg.dataset)
     fixed_model = trainer.load_model(args.model) if args.model else None
     table = evaluation.run_protocol(ds, cfg.hyper, **cfg.experiment,
                                     fixed_model=fixed_model)
     for fmt in cfg.output["formats"]:
-        with open(os.path.join(out, f"results.{fmt}"), "w", encoding="utf-8") as fh:
+        with open(os.path.join(args.out, f"results.{fmt}"), "w",
+                  encoding="utf-8") as fh:
             fh.write(evaluation.FORMATS[fmt](table))
-    cfg.write_echo(out)
+    cfg.write_echo(args.out)
     print(table.to_text(), end="")
     return 0
 
@@ -76,8 +73,7 @@ def gradcheck_instance(seed, n=5, V=2, dims=(4, 3), d=2):
     return ds, P, W
 
 
-def cmd_gradcheck(args):
-    cfg = parse_config(args.config)
+def cmd_gradcheck(args, cfg):
     ds, P, W = gradcheck_instance(cfg.experiment["base_seed"])
     report = gradients.check_gradients(P, W, ds, cfg.hyper, step=args.step)
     ok = report.max_rel_err <= GRADCHECK_TOL
@@ -87,9 +83,8 @@ def cmd_gradcheck(args):
     return 0 if ok else 3
 
 
-def cmd_diagnose(args):
+def cmd_diagnose(args, cfg):
     params._integer("--trials", args.trials, 1)
-    cfg = parse_config(args.config)
     rng = np.random.default_rng([cfg.experiment["base_seed"]])
     rows = []
     for trial in range(args.trials):
@@ -139,7 +134,7 @@ def build_parser():
     p.add_argument("--model", default=None,
                    help="evaluate this pre-trained model instead of "
                         "refitting per repeat")
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient check")
@@ -158,7 +153,7 @@ def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
         with numeric_errors():
-            return args.func(args)
+            return args.func(args, parse_config(args.config))
     except OSError as exc:
         # the readers wrap their own OSErrors, so this one came from an output
         error = ConfigError(f"cannot write output: {exc}")

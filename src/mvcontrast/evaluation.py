@@ -17,10 +17,10 @@ from .errors import ConfigError, DataError, NumericError, numeric_errors
 
 
 def project(model, ds):
-    """Per-view embeddings Y_m = P_m^T X_m; one that overflows or is not
-    finite raises NumericError naming its view."""
-    if len(model.projections) != ds.V:
-        raise DataError(f"model has {len(model.projections)} views, data has {ds.V}")
+    """Per-view embeddings Y_m = P_m^T X_m of the model's views, the data's by
+    name; one that overflows or is not finite raises NumericError naming it."""
+    if model.view_names != ds.view_names:
+        raise DataError(f"model has views {model.view_names}, data has {ds.view_names}")
     out = []
     for m, Pm in enumerate(model.projections):
         if Pm.shape[0] != ds.view_dims[m]:
@@ -116,13 +116,12 @@ class ResultsTable:
 FORMATS = {"csv": ResultsTable.to_csv, "txt": ResultsTable.to_text}
 
 
-def _output_args(dir=".", formats=[*FORMATS]):
+def _output_args(formats=[*FORMATS]):
     """The config's output section, which only eval reads, as a dict."""
     known = [*FORMATS]
-    params._require(isinstance(dir, str), "output.dir", "a directory path", dir)
     params._require(isinstance(formats, list) and all(f in known for f in formats),
                     "output.formats", f"a list drawn from {known}", formats)
-    return dict(dir=dir, formats=list(formats))
+    return dict(formats=list(formats))
 
 
 def evaluate_split(Y, labels, train_idx, test_idx):

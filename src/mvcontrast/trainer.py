@@ -62,6 +62,13 @@ class Model:
     projections: list  # P_m, each D_m x d
     hyper: Hyperparams
     meta: dict
+    view_names: list = field(default_factory=list)  # view0, view1, ... if empty
+
+    def __post_init__(self):
+        V = len(self.projections)
+        self.view_names = list(self.view_names) or [f"view{m}" for m in range(V)]
+        if len(self.view_names) != V:
+            raise ConfigError(f"{len(self.view_names)} view names for {V} projections")
 
 
 def init_state(ds, h, seed):
@@ -151,25 +158,22 @@ def fit(ds, h, seed):
             "converged": converged,
             "final_loss": state.loss_history[-1],
             "wall_clock_s": time.perf_counter() - t0,
-        })
+        },
+        view_names=ds.view_names)
     return model, state
 
 
-def save_model(model, directory, view_names=None):
+def save_model(model, directory):
     """Write the model as a JSON manifest plus one CSV per view projection."""
-    view_names = view_names or [f"view{m}" for m in range(len(model.projections))]
-    if len(view_names) != len(model.projections):
-        raise ConfigError(f"{len(view_names)} view names for "
-                          f"{len(model.projections)} projections")
     os.makedirs(directory, exist_ok=True)
     files = []
-    for name, Pm in zip(view_names, model.projections):
+    for name, Pm in zip(model.view_names, model.projections):
         fname = f"projection_{name}.csv"
         write_matrix(os.path.join(directory, fname), Pm)
         files.append(fname)
     manifest = {
         "projection_files": files,
-        "view_names": view_names,
+        "view_names": model.view_names,
         "view_dims": [int(p.shape[0]) for p in model.projections],
         "d": int(model.projections[0].shape[1]),
         "hyperparams": model.hyper.as_dict(),
@@ -186,9 +190,10 @@ def load_model(model_dir):
         h = Hyperparams(**manifest["hyperparams"])
         shapes = [(dim, manifest["d"]) for dim in manifest["view_dims"]]
         paths = [os.path.join(model_dir, f) for f in manifest["projection_files"]]
-        if len(paths) != len(shapes):
-            raise DataError(f"model manifest {path}: {len(paths)} projection_files "
-                            f"for {len(shapes)} view_dims")
+        names = manifest["view_names"]
+        if not len(names) == len(paths) == len(shapes):
+            raise DataError(f"model manifest {path}: {len(names)} view_names, "
+                            f"{len(paths)} projection_files, {len(shapes)} view_dims")
     except KeyError as exc:
         raise DataError(f"model manifest {path} lacks key {exc}") from None
     except (TypeError, ConfigError) as exc:
@@ -199,4 +204,5 @@ def load_model(model_dir):
         if Pm.shape != shape:
             raise DataError(f"{p}: shape {Pm.shape} does not match manifest")
         projections.append(Pm)
-    return Model(projections=projections, hyper=h, meta=manifest.get("meta", {}))
+    return Model(projections=projections, hyper=h, meta=manifest.get("meta", {}),
+                 view_names=names)

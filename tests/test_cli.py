@@ -2,6 +2,7 @@ import json
 import os
 import pathlib
 import re
+import shutil
 import subprocess
 import sys
 
@@ -55,8 +56,13 @@ class TestBuildConfig:
         assert cfg.hyper.max_iters == 500
         assert cfg.experiment["M"] == [4]
         assert cfg.experiment["repeats"] == 5
-        assert cfg.output["dir"] == "."
         assert cfg.output["formats"] == ["csv", "txt"]
+
+    def test_output_dir_is_an_unknown_key(self):
+        # --out is the one output directory of every command that writes
+        with pytest.raises(ConfigError,
+                           match="^unknown key 'dir' in section 'output'$"):
+            build_config({"dataset": {"synth": {}}, "output": {"dir": "results"}})
 
     def test_hyper_defaults_are_the_library_defaults(self):
         assert build_config({"dataset": {"synth": {}}}).hyper == mv.Hyperparams()
@@ -249,6 +255,30 @@ class TestSynthTrainEval:
             tables.append((out / "results.csv").read_bytes())
         assert calls == [2, 3, 2, 3]
         assert tables[0] == tables[1]
+
+    @pytest.mark.parametrize("names", [["view1", "view0"], ["a", "b"]],
+                             ids=["swapped", "renamed"])
+    def test_eval_model_on_other_views_exit_2(self, tmp_path, capsys, monkeypatch,
+                                              names):
+        # the model's views are view0 and view1, of equal dims; the config lists
+        # the same files in the other order, or under other names
+        _, paths, label_path = write_file_dataset(tmp_path)
+        views = []
+        for name, path in zip(names, paths):
+            views.append(str(tmp_path / f"{name}.csv"))
+            shutil.copyfile(path, views[-1])
+        splits = []
+        split = mv.evaluation.split
+        monkeypatch.setattr(mv.evaluation, "split",
+                            lambda *a: splits.append(a) or split(*a))
+        cfg = write_config(tmp_path / "c2.json", dict(
+            SYNTH_SMALL, dataset={"views": views, "labels": label_path}))
+        out = tmp_path / "r"
+        assert main(["eval", "--config", cfg, "--model", str(tmp_path / "model"),
+                     "--out", str(out)]) == 2
+        assert (f"error: DataError: model has views ['view0', 'view1'], data has "
+                f"{names}") in capsys.readouterr().err
+        assert splits == [] and os.listdir(out) == []
 
     def test_eval_model_with_d_sweep_exit_1(self, tmp_path, capsys):
         synth = {"classes": 3, "per_class": 8, "dims": [5, 4]}
@@ -445,12 +475,19 @@ class TestUnwritableOutput:
         self.check(code, err, out)
 
     def test_eval_output_dir_is_a_file(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", SYNTH_SMALL)
         out = tmp_path / "taken"
         out.write_text("")
-        cfg = write_config(tmp_path / "c.json",
-                           dict(SYNTH_SMALL, output={"dir": str(out)}))
-        code, _, err = run_module("eval", "--config", cfg)
+        code, _, err = run_module("eval", "--config", cfg, "--out", str(out))
         self.check(code, err, out)
+
+    def test_eval_without_out_exit_1(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", SYNTH_SMALL)
+        code, out, err = run_module("eval", "--config", cfg)
+        assert code == 1 and out == ""
+        assert ("error: ConfigError: mvcontrast eval: the following arguments are "
+                "required: --out") in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_fails_before_fitting(self, tmp_path, capsys, monkeypatch, command):
@@ -491,6 +528,8 @@ BAD_MODEL_FILES = {
                                lambda text: "1,0\n0,x\n0,0\n0,0\n"),
     "view_dims one short": ("manifest.json", lambda text: json.dumps(
         dict(json.loads(text), view_dims=[4]))),
+    "view_names one short": ("manifest.json", lambda text: json.dumps(
+        dict(json.loads(text), view_names=["view0"]))),
     "non-finite projection": ("projection_view0.csv",
                               lambda text: "1,0\n0,nan\n0,0\n0,inf\n"),
 }

@@ -99,7 +99,7 @@ DATASET = mostly(st.one_of(
 HYPER = section(["lambda"] + [f.name for f in dataclasses.fields(mv.Hyperparams)
                               if f.name != "lam"])
 EXPERIMENT = section(["M", "repeats", "base_seed", "d_sweep"])
-OUTPUT = section(["dir", "formats"], mostly(
+OUTPUT = section(["formats"], mostly(
     st.text(max_size=4) | st.lists(st.sampled_from(["csv", "txt", "pdf"]), max_size=3)))
 CONFIGS = mostly(st.fixed_dictionaries({"dataset": DATASET}, optional={
     "hyper": HYPER, "experiment": EXPERIMENT, "output": OUTPUT}))

@@ -302,7 +302,7 @@ class TestModelPersistence:
     def test_roundtrip_bit_identical_embeddings(self, tmp_path):
         ds = mv.synth_blobs(2, 2, 4, [4, 3], 0.5, 0)
         model, _ = mv.fit(ds, hyper(max_iters=5, tol=1e-12), seed=0)
-        mv.save_model(model, tmp_path, view_names=ds.view_names)
+        mv.save_model(model, tmp_path)
         back = mv.load_model(tmp_path)
         for a, b in zip(model.projections, back.projections):
             assert np.array_equal(a, b)
@@ -313,17 +313,39 @@ class TestModelPersistence:
     def test_manifest_contents(self, tmp_path):
         ds = mv.synth_blobs(2, 2, 4, [4, 3], 0.5, 0)
         model, _ = mv.fit(ds, hyper(max_iters=2, tol=1e-12), seed=3)
-        mv.save_model(model, tmp_path, view_names=ds.view_names)
+        mv.save_model(model, tmp_path)
         import json
         manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["view_names"] == model.view_names == ds.view_names
         assert manifest["view_dims"] == [4, 3]
         assert manifest["d"] == 2
         assert manifest["meta"]["seed"] == 3
         assert manifest["hyperparams"]["gamma"] == 0.001
 
     def test_one_name_per_projection(self, tmp_path):
-        model = mv.Model(projections=[np.eye(3)[:, :2], np.eye(3)[:, 1:]],
-                         hyper=hyper(), meta={})
         with pytest.raises(mv.ConfigError, match="1 view names for 2 projections"):
-            mv.save_model(model, tmp_path / "model", view_names=["only"])
-        assert not (tmp_path / "model").exists()
+            mv.Model(projections=[np.eye(3)[:, :2], np.eye(3)[:, 1:]],
+                     hyper=hyper(), meta={}, view_names=["only"])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_view_names_default_to_the_datasets(self):
+        model = mv.Model(projections=[np.eye(3)[:, :2]] * 3, hyper=hyper(), meta={})
+        assert model.view_names == mv.MultiViewDataset(views=[np.eye(3)] * 3).view_names
+
+    @pytest.mark.parametrize("fitted", [True, False], ids=["fitted", "hand-built"])
+    def test_load_returns_the_saved_model(self, tmp_path, fitted):
+        ds = dataclasses.replace(mv.synth_blobs(2, 2, 4, [4, 3], 0.5, 0),
+                                 view_names=["rgb", "depth"])
+        if fitted:
+            model, _ = mv.fit(ds, hyper(max_iters=3, tol=1e-12), seed=1)
+            assert model.view_names == ["rgb", "depth"]
+        else:
+            model = mv.Model(projections=[np.eye(4)[:, :2] / 3, np.eye(3)[:, 1:]],
+                             hyper=hyper(d=2, gamma=0.1 / 3), meta={"note": "x"})
+        mv.save_model(model, tmp_path)
+        back = mv.load_model(tmp_path)
+        assert len(back.projections) == len(model.projections)
+        for a, b in zip(model.projections, back.projections):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert (back.hyper, back.meta, back.view_names) == \
+            (model.hyper, model.meta, model.view_names)
