@@ -32,6 +32,23 @@ _CSV_BYTES_PER_VALUE = 24
 # write_matrix formats about this many values (256 KiB of doubles) at a time.
 _WRITE_BLOCK_VALUES = 1 << 15
 
+def _view_names(names, V, error):
+    """`names` as a list, view0, view1, ... if it is empty, or `error` unless it
+    holds V distinct names, none of labels, Mean or fused (the label file and two
+    results rows), each a printable CSV field and file stem free of /, \\, comma
+    and double quote that load_views reads back from <name>.csv (not "", . or ..)."""
+    if isinstance(names, (list, tuple)) and not names:
+        return [f"view{m}" for m in range(V)]
+    if not (isinstance(names, (list, tuple)) and len(names) == V
+            and all(isinstance(s, str) and s.isprintable() and not set('/\\,"') & set(s)
+                    and os.path.splitext(f"{s}.csv")[0] == s for s in names)
+            and len(set(names)) == V and not {"labels", "Mean", "fused"} & set(names)):
+        raise error("view names must be distinct and none of labels, Mean or fused: "
+                    f"{V} printable strings, none empty or only dots and none holding "
+                    f"/, \\, a comma or a double quote, got {names!r}")
+    return list(names)
+
+
 @dataclass
 class MultiViewDataset:
     """V aligned views (D_m x n each) plus optional integer labels."""
@@ -60,15 +77,7 @@ class MultiViewDataset:
             if self.labels.shape != (n,):
                 raise DataError(
                     f"labels length {self.labels.shape} does not match n={n}")
-        if not self.view_names:
-            self.view_names = [f"view{m}" for m in range(len(self.views))]
-        elif len(self.view_names) != len(self.views):
-            raise DataError("view_names length does not match view count")
-        elif (len(set(self.view_names)) != len(self.view_names)
-              or {"labels", "Mean", "fused"} & set(self.view_names)):
-            # a name keys its files and results row, as labels.csv, Mean and fused do
-            raise DataError("view names must be distinct and none of labels, Mean or "
-                            f"fused (a file's name is its stem), got {self.view_names}")
+        self.view_names = _view_names(self.view_names, self.V, DataError)
 
     @property
     def V(self):
@@ -87,7 +96,7 @@ class MultiViewDataset:
         return MultiViewDataset(
             views=[v[:, idx] for v in self.views],
             labels=None if self.labels is None else self.labels[idx],
-            view_names=list(self.view_names))
+            view_names=self.view_names)
 
 
 @dataclass
@@ -270,6 +279,10 @@ def _integer_labels(labels, name):
 
 def load_views(view_files, label_file=None):
     """Read sample-major CSV views (and optional labels) into a dataset."""
+    # a view is named by its file's stem, checked before any file is read
+    names = [os.path.splitext(os.path.basename(p))[0] for p in view_files]
+    _view_names(names, len(names),
+                lambda message: DataError(f"{message}, the stems of {view_files}"))
     paths = list(view_files) if label_file is None else [*view_files, label_file]
     matrices = _per_file(read_matrix, [(p,) for p in paths],
                          [_file_bytes(p) for p in paths])
@@ -288,7 +301,6 @@ def load_views(view_files, label_file=None):
         if labels.shape[0] != views[0].shape[0]:
             raise DataError(
                 f"{label_file}: {labels.shape[0]} labels for {views[0].shape[0]} samples")
-    names = [os.path.splitext(os.path.basename(p))[0] for p in view_files]
     return MultiViewDataset(views=[m.T for m in views], labels=labels,
                             view_names=names)
 
@@ -375,8 +387,7 @@ def standardize(ds):
         sd = v.std(axis=1, keepdims=True)
         sd[sd == 0] = 1.0
         views.append((v - mu) / sd)
-    return MultiViewDataset(views=views, labels=ds.labels,
-                            view_names=list(ds.view_names))
+    return MultiViewDataset(views=views, labels=ds.labels, view_names=ds.view_names)
 
 
 def _dataset_args(views, labels, synth, standardize):

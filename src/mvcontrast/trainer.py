@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gradients, losses
-from .data import read_json, read_matrix, write_json, write_matrix
+from .data import _view_names, read_json, read_matrix, write_json, write_matrix
 from .errors import ConfigError, DataError, NumericError, numeric_errors
 from .params import Hyperparams
 
@@ -65,10 +65,15 @@ class Model:
     view_names: list = field(default_factory=list)  # view0, view1, ... if empty
 
     def __post_init__(self):
-        V = len(self.projections)
-        self.view_names = list(self.view_names) or [f"view{m}" for m in range(V)]
-        if len(self.view_names) != V:
-            raise ConfigError(f"{len(self.view_names)} view names for {V} projections")
+        self.projections = [np.asarray(Pm, dtype=float) for Pm in self.projections]
+        self.view_names = _view_names(self.view_names, len(self.projections),
+                                      ConfigError)
+        # each as save_model writes it and load_model reads it back
+        if not all(Pm.ndim == 2 and Pm.size and Pm.shape[1] == self.hyper.d
+                   for Pm in self.projections):
+            raise ConfigError(f"projections must be non-empty matrices of "
+                              f"hyper.d={self.hyper.d} columns, got shapes "
+                              f"{[Pm.shape for Pm in self.projections]}")
 
 
 def init_state(ds, h, seed):
@@ -175,7 +180,7 @@ def save_model(model, directory):
         "projection_files": files,
         "view_names": model.view_names,
         "view_dims": [int(p.shape[0]) for p in model.projections],
-        "d": int(model.projections[0].shape[1]),
+        "d": model.hyper.d,
         "hyperparams": model.hyper.as_dict(),
         "meta": model.meta,
     }
@@ -189,20 +194,22 @@ def load_model(model_dir):
     try:
         h = Hyperparams(**manifest["hyperparams"])
         shapes = [(dim, manifest["d"]) for dim in manifest["view_dims"]]
-        paths = [os.path.join(model_dir, f) for f in manifest["projection_files"]]
-        names = manifest["view_names"]
-        if not len(names) == len(paths) == len(shapes):
-            raise DataError(f"model manifest {path}: {len(names)} view_names, "
-                            f"{len(paths)} projection_files, {len(shapes)} view_dims")
+        files = manifest["projection_files"]
+        if not all(os.path.basename(f) == f not in ("", ".", "..") for f in files):
+            raise DataError(f"model manifest {path}: projection_files must be plain "
+                            f"file names, got {files!r}")
+        if len(files) != len(shapes):
+            raise DataError(f"model manifest {path}: {len(files)} projection_files, "
+                            f"{len(shapes)} view_dims")
+        projections = []
+        for p, shape in zip([os.path.join(model_dir, f) for f in files], shapes):
+            Pm = read_matrix(p)
+            if Pm.shape != shape:
+                raise DataError(f"{p}: shape {Pm.shape} does not match manifest")
+            projections.append(Pm)
+        return Model(projections=projections, hyper=h, meta=manifest.get("meta", {}),
+                     view_names=manifest["view_names"])
     except KeyError as exc:
         raise DataError(f"model manifest {path} lacks key {exc}") from None
     except (TypeError, ConfigError) as exc:
         raise DataError(f"model manifest {path}: {exc}") from None
-    projections = []
-    for p, shape in zip(paths, shapes):
-        Pm = read_matrix(p)
-        if Pm.shape != shape:
-            raise DataError(f"{p}: shape {Pm.shape} does not match manifest")
-        projections.append(Pm)
-    return Model(projections=projections, hyper=h, meta=manifest.get("meta", {}),
-                 view_names=names)

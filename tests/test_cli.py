@@ -532,6 +532,13 @@ BAD_MODEL_FILES = {
         dict(json.loads(text), view_names=["view0"]))),
     "non-finite projection": ("projection_view0.csv",
                               lambda text: "1,0\n0,nan\n0,0\n0,inf\n"),
+    # the file exists and holds view0's projection, but outside the model
+    "projection file outside the model": ("manifest.json", lambda text: text.replace(
+        '"projection_view0.csv"', '"../model/projection_view0.csv"')),
+    "view_names as a string": ("manifest.json", lambda text: json.dumps(
+        dict(json.loads(text), view_names="ab"))),
+    "hyperparameter d unlike the projections": ("manifest.json", lambda text: json.dumps(
+        dict(json.loads(text), hyperparams=dict(json.loads(text)["hyperparams"], d=1)))),
 }
 
 BAD_LABEL_FILES = {
@@ -579,6 +586,21 @@ class TestBadInputFiles:
         assert main(["eval", "--config", cfg, "--model", str(model_dir),
                      "--out", str(tmp_path / "r")]) == 2
         assert "error: DataError" in capsys.readouterr().err
+
+    # a view's name is its file's stem, and one field of its results.csv row
+    @pytest.mark.parametrize("stem", ["a,b", '"a"', "a\nb"],
+                             ids=["comma", "quotes", "newline"])
+    def test_view_file_name_unusable_as_a_field_exit_2(self, tmp_path, capsys, stem):
+        cfg, paths, label_path = write_file_dataset(tmp_path)
+        renamed = os.path.join(os.path.dirname(paths[0]), f"{stem}.csv")
+        os.rename(paths[0], renamed)
+        cfg = write_config(tmp_path / "c.json", dict(SYNTH_SMALL, dataset={
+            "views": [renamed, paths[1]], "labels": label_path}))
+        assert main(["eval", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: DataError: view names must be distinct")
+        assert repr(renamed) in err
+        assert not (tmp_path / "r" / "results.csv").exists()
 
     def test_missing_or_truncated_json_named(self, tmp_path):
         cfg, _, _ = write_file_dataset(tmp_path)

@@ -512,8 +512,12 @@ class TestDatasetValidation:
         with pytest.raises(DataError, match="non-finite"):
             mv.MultiViewDataset(views=[bad, np.ones((2, 3))])
 
-    # labels.csv holds the labels; Mean and fused label results rows
-    @pytest.mark.parametrize("name", ["labels", "Mean", "fused"])
+    # labels.csv holds the labels; Mean and fused label results rows; any other
+    # name must come back from <name>.csv and be one results.csv field
+    @pytest.mark.parametrize("name", [
+        "labels", "Mean", "fused", "", ".", "..", "a/b", "a\\b", "a,b", '"a"', "a\nb",
+        3], ids=["labels", "Mean", "fused", "empty", "dot", "dot dot", "slash",
+                 "backslash", "comma", "quotes", "newline", "not a string"])
     def test_reserved_view_names(self, name):
         with pytest.raises(DataError, match="none of labels, Mean or fused"):
             mv.MultiViewDataset(views=[np.ones((2, 3)), np.ones((2, 3))],

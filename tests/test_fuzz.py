@@ -1,5 +1,5 @@
-"""Fuzz the config parser, the matrix-file and model readers, the numeric
-CLI flags and `fit` on extreme hyperparameters and degenerate views.
+"""Fuzz the config parser, the matrix-file and model readers, view names, the
+numeric CLI flags and `fit` on extreme hyperparameters and degenerate views.
 
 Whatever a config holds, `build_config` either accepts it or raises
 ConfigError, and an accepted config's echo reloads as the same echo.
@@ -12,13 +12,16 @@ an MvError or returns a finite state whose convergence is real.
 """
 
 import contextlib
+import csv
 import dataclasses
 import io
+import json
 import os
 import pathlib
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -122,6 +125,53 @@ def test_build_config_raises_only_config_error(raw):
         echo = cfg.write_echo(os.path.join(root, "a"))
         again = parse_config(echo).write_echo(os.path.join(root, "b"))
         assert pathlib.Path(echo).read_bytes() == pathlib.Path(again).read_bytes()
+
+
+# two distinct names, mostly printable text (letters, digits, punctuation,
+# symbols, spaces), now and then any text or a name at the edge of the rule
+NAMES = st.lists(mostly(
+    st.text(st.characters(categories=["L", "N", "P", "S", "Zs"]), min_size=1,
+            max_size=12),
+    st.text(max_size=12) | st.sampled_from(
+        ["", ".", "..", "...", ".a", "a.", "a,b", '"a"', "a/b", "a\\b", "labels",
+         "Mean", "fused", " a "])), min_size=2, max_size=2, unique=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(names=NAMES)
+def test_view_names_round_trip_or_raise_mv_error(names):
+    # a name the rule accepts keys a view file, a projection file and one
+    # results.csv field; one it rejects is an MvError wherever it is given
+    views = [np.arange(12.0).reshape(2, 6) ** 2, np.ones((2, 6))]
+    projections = [np.eye(2)[:, :1]] * 2
+    try:
+        ds = mv.MultiViewDataset(views=views, labels=[0, 0, 0, 1, 1, 1],
+                                 view_names=names)
+    except mv.DataError:
+        with pytest.raises(mv.ConfigError):
+            mv.Model(projections=projections, hyper=mv.Hyperparams(d=1), meta={},
+                     view_names=names)
+        return
+    model = mv.Model(projections=projections, hyper=mv.Hyperparams(d=1), meta={},
+                     view_names=names)
+    with tempfile.TemporaryDirectory() as root:
+        paths, label_path = mv.save_views(ds, os.path.join(root, "data"))
+        assert mv.load_views(paths, label_path).view_names == names
+        mv.save_model(model, os.path.join(root, "model"))
+        assert mv.load_model(os.path.join(root, "model")).view_names == names
+        cfg = os.path.join(root, "c.json")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            json.dump({"dataset": {"views": paths, "labels": label_path},
+                       "experiment": {"M": 1, "repeats": 1}}, fh)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["eval", "--config", cfg, "--model",
+                         os.path.join(root, "model"), "--out",
+                         os.path.join(root, "r")]) == 0
+        with open(os.path.join(root, "r", "results.csv"), newline="",
+                  encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    assert [len(row) for row in rows] == [5] * 5
+    assert [row[0] for row in rows[1:]] == [*names, "Mean", "fused"]
 
 
 def run_cli(*argv):

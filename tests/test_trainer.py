@@ -323,9 +323,26 @@ class TestModelPersistence:
         assert manifest["hyperparams"]["gamma"] == 0.001
 
     def test_one_name_per_projection(self, tmp_path):
-        with pytest.raises(mv.ConfigError, match="1 view names for 2 projections"):
+        with pytest.raises(mv.ConfigError, match=r"^view names must be .*: 2 printable "
+                           r"strings, .*got \['only'\]$"):
             mv.Model(projections=[np.eye(3)[:, :2], np.eye(3)[:, 1:]],
                      hyper=hyper(), meta={}, view_names=["only"])
+        assert list(tmp_path.iterdir()) == []
+
+    # a name keys its projection file, so a repeated or path-like one would
+    # overwrite a file or write outside the directory; a projection of other
+    # than hyper.d columns would save a manifest that load_model rejects
+    @pytest.mark.parametrize("names,columns,message", [
+        (["a", "a"], [2, 2], "view names must be distinct"),
+        (["../x", "b"], [2, 2], "view names must be distinct"),
+        ([], [2, 1], r"projections must be .* hyper.d=2 columns, got shapes "
+                     r"\[\(3, 2\), \(3, 1\)\]"),
+    ], ids=["repeated name", "path-like name", "mixed d"])
+    def test_unsaveable_model_rejected(self, tmp_path, names, columns, message):
+        with pytest.raises(mv.ConfigError, match=message):
+            mv.save_model(mv.Model(projections=[np.eye(3)[:, :k] for k in columns],
+                                   hyper=hyper(), meta={}, view_names=names),
+                          tmp_path / "model")
         assert list(tmp_path.iterdir()) == []
 
     def test_view_names_default_to_the_datasets(self):
