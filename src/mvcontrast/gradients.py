@@ -12,11 +12,11 @@ The alternating scheme optimizes two kinds of blocks:
 Gradients are derived from the implemented losses (grad_P from the pairing
 of losses.sample_logits) and validated against central differences along
 random directions: column_context against view_subobjectives, grad_P
-against the P-dependent terms of losses.total_loss.  Both gradients rebuild
-the similarity denominator Q one block of rows at a time (losses.row_blocks
-and q_rows), and grad_P sums its softmax denominators with
-losses.shifted_exp_sums: the walk that losses.similarity and row_logsumexp
-take.
+against the P-dependent terms of losses.total_loss.  Both heads score pairs
+with losses.similarity, so both gradients go through its one backward,
+cosine_backward, which rebuilds Q one block of rows at a time as similarity
+does; grad_P sums its softmax denominators with losses.shifted_exp_sums, as
+row_logsumexp does.
 """
 
 from dataclasses import dataclass
@@ -26,7 +26,7 @@ import numpy as np
 from . import losses
 from .errors import ConfigError, NumericError
 
-_NORM_FLOOR = 1e-300
+_NORM_FLOOR = 1e-300  # where cosine_backward divides by a column norm
 # random directions along which check_gradients probes grad_P
 P_DIRECTIONS = 4
 
@@ -40,25 +40,47 @@ def view_subobjectives(m, Wm, P, W, ds, h):
     return values + h.alpha * (R * R).sum(axis=0) + h.beta * (Wm * Wm).sum(axis=0)
 
 
+def cosine_backward(S, omega, na, nb, tau, norm_eps):
+    """Spend S = A^T B / (Q tau), Q = na nb^T + norm_eps, built by
+    losses.similarity from column norms na and nb, and omega = dL/dS, on the
+    backward of L = <omega, S>: returns (ra, rb) with
+
+        dL/dA = B omega'^T - A diag(ra),   dL/dB = A omega' - B diag(rb),
+
+    where omega' = omega / (Q tau) is written over omega, and S's buffer is
+    used as scratch.  Q is rebuilt one block of rows at a time; a zero norm
+    is floored only where ra and rb divide by it."""
+    ra = np.empty(S.shape[0])
+    for rows, q in losses.row_blocks(*S.shape):
+        losses.q_rows(na, nb, rows, norm_eps, q)
+        ratio = S[rows]
+        ratio *= omega[rows]
+        ratio /= q
+        q *= tau
+        omega[rows] /= q
+        ra[rows] = np.multiply(ratio, nb, out=q).sum(axis=1)
+    ra /= np.maximum(na, _NORM_FLOOR)
+    rb = np.multiply(S, na[:, None], out=S).sum(axis=0) / np.maximum(nb, _NORM_FLOOR)
+    return ra, rb
+
+
 def column_context(m, P, W, ds, h):
     """G (n x n), whose column i is the gradient of entry i of
     view_subobjectives at w_i^m.
 
     Column i reads W^m only through w_i^m, so G holds while other columns of
-    W^m move, not after P or another W^v does.  Per other view v, with
-    Q = n_v n_w^T + norm_eps over the column norms of W^v and W^m and
-    S = (W^v)^T W^m / (Q tau), column i sums C_ki (u_k / (Q_ki tau) -
-    S_ki n_v,k w_i / (Q_ki n_w,i)) over the columns u_k of W^v, with
-    C = (softmax of each column of S) - I.  Raises NumericError naming the
-    first column of G that is not finite."""
+    W^m move, not after P or another W^v does.  Per other view v, S is the
+    similarity of W^v and W^m that structural_contrastive builds for that
+    pair and C = (softmax of each column of S) - I is dL/dS; cosine_backward
+    turns them into the W^m side of the gradient.  Raises NumericError naming
+    the first column of G that is not finite."""
     Wm = W.W[m]
     B = losses.view_embeddings(P, ds)[m]
-    nw = np.maximum(np.linalg.norm(Wm, axis=0), _NORM_FLOOR)
+    nw = np.linalg.norm(Wm, axis=0)
     # every norm's n x n temporary is freed before the buffers exist
     others = [(W.W[v], np.linalg.norm(W.W[v], axis=0)) for v in range(W.V) if v != m]
     G = np.zeros_like(Wm)
-    # two n x n buffers, reused across the other views; Q is rebuilt one
-    # block of rows at a time where it is read
+    # two n x n buffers, reused across the other views
     S, C = np.empty_like(Wm), np.empty_like(Wm)
     for Wv, nv in others:
         losses.similarity(Wv, Wm, nv, nw, h.tau2, h.norm_eps, out=S)
@@ -66,17 +88,7 @@ def column_context(m, P, W, ds, h):
         np.exp(C, out=C)
         C /= C.sum(axis=0)
         np.fill_diagonal(C, C.diagonal() - 1.0)
-        # C * S * n_v / Q in S's buffer, for shrink; then C / (Q tau)
-        for rows, q in losses.row_blocks(W.n, W.n):
-            losses.q_rows(nv, nw, rows, h.norm_eps, q)
-            s = S[rows]
-            s *= C[rows]
-            s *= nv[rows, None]
-            s /= q
-            q *= h.tau2
-            C[rows] /= q
-        del q  # free the row block before the next view's similarity
-        shrink = S.sum(axis=0) / nw
+        shrink = cosine_backward(S, C, nv, nw, h.tau2, h.norm_eps)[1]
         G += np.matmul(Wv, C, out=S)
         G -= np.multiply(Wm, shrink, out=S)
     # the reconstruction and ridge terms, in C's and S's buffers
@@ -101,55 +113,39 @@ def grad_w(i, m, P, W, ds, h, ctx=None):
 
 
 def grad_P(P, W, ds, h):
-    """Gradient of total_loss with respect to the stacked projection."""
+    """Gradient of total_loss with respect to the stacked projection:
+    X^m dY^m^T per view, with dY^m the gradient with respect to Y^m."""
     Y = losses.view_embeddings(P, ds)
     norms = [np.linalg.norm(y, axis=0) for y in Y]
-    n, V = ds.n, ds.V
-    blocks = [np.zeros_like(P.block(m)) for m in range(V)]
-
-    for m in range(V):
+    n = ds.n
+    dY = []  # the reconstruction term's, then each pair's added
+    for y, Wm in zip(Y, W.W):
+        R = y - y @ Wm
+        dY.append(2.0 * h.lam * h.alpha * (R - R @ Wm.T))
+    for m in range(ds.V):
         others, logits, pos = losses.sample_logits(Y, m, h)
         # softmax over every comparison pair, and over the positives only
         zmax = logits.max(axis=1, keepdims=True)
         denom_all = losses.shifted_exp_sums(logits, zmax)
         pexp = np.exp(pos - zmax)
         denom_pos = pexp.sum(axis=1)
-        nm = np.maximum(norms[m], _NORM_FLOOR)
-        G, r_anchor = np.empty((n, n)), np.empty(n)
-
+        # allocated after the logits and freed with them: held across anchors,
+        # it left fit-wide's peak RSS one n x n higher after a dozen fits
+        omega = np.empty((n, n))
         for j, v in enumerate(others):
-            # omega, then G = omega / (Q tau1), in G's buffer from this
-            # pair's exps, rebuilt here; ratio = omega S / Q overwrites the
-            # pair's S, which nothing reads after
+            # omega = dL/dS from this pair's exps, rebuilt here
             S = logits[:, j * n:(j + 1) * n]
-            omega = np.subtract(S, zmax, out=G)
+            np.subtract(S, zmax, out=omega)
             np.exp(omega, out=omega)
             omega /= denom_all[:, None]
             np.fill_diagonal(omega, omega.diagonal() - pexp[:, j] / denom_pos)
             omega /= n
-            for rows, q in losses.row_blocks(n, n):
-                losses.q_rows(norms[m], norms[v], rows, h.norm_eps, q)
-                ratio = S[rows]
-                ratio *= omega[rows]
-                ratio /= q
-                q *= h.tau1
-                omega[rows] /= q
-                r_anchor[rows] = np.multiply(ratio, norms[v], out=q).sum(axis=1)
-            del q  # free the row block before the next pair's
-            r_anchor /= nm
-            nv = np.maximum(norms[v], _NORM_FLOOR)
-            r_comp = np.multiply(S, norms[m][:, None], out=S).sum(axis=0) / nv
-            # anchor-side rows live in block m, comparison-side in block v
-            blocks[m] += ds.views[m] @ (G @ Y[v].T - r_anchor[:, None] * Y[m].T)
-            blocks[v] += ds.views[v] @ (G.T @ Y[m].T - r_comp[:, None] * Y[v].T)
-        # free anchor m's blocks before the next anchor's are built
-        del logits, G, S, omega, ratio
-
-    for m in range(V):
-        R = Y[m] - Y[m] @ W.W[m]
-        blocks[m] += 2.0 * h.lam * h.alpha * (ds.views[m] @ (R - R @ W.W[m].T).T)
-
-    grad = np.vstack(blocks)
+            ra, rb = cosine_backward(S, omega, norms[m], norms[v], h.tau1, h.norm_eps)
+            dY[m] += Y[v] @ omega.T - Y[m] * ra
+            dY[v] += Y[m] @ omega - Y[v] * rb
+        # free anchor m's buffers before the next anchor's are built
+        del logits, S, omega
+    grad = np.vstack([X @ dy.T for X, dy in zip(ds.views, dY)])
     if not np.all(np.isfinite(grad)):
         raise NumericError("non-finite projection gradient")
     return grad

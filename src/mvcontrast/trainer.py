@@ -70,8 +70,8 @@ class Model:
                                       ConfigError)
         # each as save_model writes it and load_model reads it back
         if not all(Pm.ndim == 2 and Pm.size and Pm.shape[1] == self.hyper.d
-                   for Pm in self.projections):
-            raise ConfigError(f"projections must be non-empty matrices of "
+                   and np.isfinite(Pm).all() for Pm in self.projections):
+            raise ConfigError(f"projections must be non-empty finite matrices of "
                               f"hyper.d={self.hyper.d} columns, got shapes "
                               f"{[Pm.shape for Pm in self.projections]}")
 

@@ -314,25 +314,33 @@ def alloc_structural_contrastive(W, h):
     return total
 
 
+def alloc_cosine_backward(S, omega, na, nb, tau, norm_eps):
+    """cosine_backward with Q whole: (omega / (Q tau), ra, rb)."""
+    Q = np.outer(na, nb) + norm_eps
+    ratio = S * omega / Q
+    ra = (ratio * nb[None, :]).sum(axis=1) / np.maximum(na, 1e-300)
+    rb = (ratio * na[:, None]).sum(axis=0) / np.maximum(nb, 1e-300)
+    return omega / (Q * tau), ra, rb
+
+
 def alloc_column_context(m, P, W, ds, h):
     from mvcontrast.losses import view_embeddings
 
     Wm = W.W[m]
     B = view_embeddings(P, ds)[m]
-    nw = np.maximum(np.linalg.norm(Wm, axis=0), 1e-300)
     G = np.zeros_like(Wm)
     for v in range(W.V):
         if v == m:
             continue
         Wv = W.W[v]
-        nv = np.linalg.norm(Wv, axis=0)
-        Q = np.outer(nv, nw) + h.norm_eps
-        S = (Wv.T @ Wm) / (Q * h.tau2)
+        S = alloc_sim_matrix(Wv, Wm, h.tau2, h.norm_eps)
         C = np.exp(S - S.max(axis=0))
         C /= C.sum(axis=0)
         np.fill_diagonal(C, C.diagonal() - 1.0)
-        G += Wv @ (C / (Q * h.tau2))
-        G -= Wm * ((C * S * nv[:, None] / Q).sum(axis=0) / nw)
+        C, _, rb = alloc_cosine_backward(S, C, np.linalg.norm(Wv, axis=0),
+                                         np.linalg.norm(Wm, axis=0), h.tau2, h.norm_eps)
+        G += Wv @ C
+        G -= Wm * rb
     G += 2.0 * h.alpha * (B.T @ (B @ Wm - B)) + 2.0 * h.beta * Wm
     return G
 
@@ -344,7 +352,10 @@ def alloc_grad_P(P, W, ds, h):
     Y = view_embeddings(P, ds)
     norms = [np.linalg.norm(y, axis=0) for y in Y]
     n, V = ds.n, ds.V
-    blocks = [np.zeros_like(P.block(m)) for m in range(V)]
+    dY = []
+    for m in range(V):
+        R = Y[m] - Y[m] @ W.W[m]
+        dY.append(2.0 * h.lam * h.alpha * (R - R @ W.W[m].T))
     for m in range(V):
         others, logits, pos = alloc_sample_logits(Y, m, h)
         zmax = logits.max(axis=1, keepdims=True)
@@ -354,22 +365,14 @@ def alloc_grad_P(P, W, ds, h):
         denom_pos = pexp.sum(axis=1)
         for j, v in enumerate(others):
             S = logits[:, j * n:(j + 1) * n]
-            Q = np.outer(norms[m], norms[v]) + h.norm_eps
             omega = exps[:, j * n:(j + 1) * n] / denom_all[:, None]
             np.fill_diagonal(omega, omega.diagonal() - pexp[:, j] / denom_pos)
             omega /= n
-            G = omega / (Q * h.tau1)
-            ratio = omega * S / Q
-            nm = np.maximum(norms[m], 1e-300)
-            nv = np.maximum(norms[v], 1e-300)
-            r_anchor = (ratio * norms[v][None, :]).sum(axis=1) / nm
-            r_comp = (ratio * norms[m][:, None]).sum(axis=0) / nv
-            blocks[m] += ds.views[m] @ (G @ Y[v].T - r_anchor[:, None] * Y[m].T)
-            blocks[v] += ds.views[v] @ (G.T @ Y[m].T - r_comp[:, None] * Y[v].T)
-    for m in range(V):
-        R = Y[m] - Y[m] @ W.W[m]
-        blocks[m] += 2.0 * h.lam * h.alpha * (ds.views[m] @ (R - R @ W.W[m].T).T)
-    grad = np.vstack(blocks)
+            G, ra, rb = alloc_cosine_backward(S, omega, norms[m], norms[v],
+                                              h.tau1, h.norm_eps)
+            dY[m] += Y[v] @ G.T - Y[m] * ra
+            dY[v] += Y[m] @ G - Y[v] * rb
+    grad = np.vstack([X @ dy.T for X, dy in zip(ds.views, dY)])
     if not np.all(np.isfinite(grad)):
         raise NumericError("non-finite projection gradient")
     return grad

@@ -63,7 +63,9 @@ class TestProject:
         rng = np.random.default_rng(3)
         ds = mv.MultiViewDataset(views=[rng.normal(size=(3, 4)),
                                         10.0 + rng.uniform(size=(3, 4))])
-        model = make_model([rng.normal(size=(3, 2)), np.full((3, 2), bad)])
+        model = make_model([rng.normal(size=(3, 2)), np.ones((3, 2))])
+        # Model rejects inf and nan, so the bad value is written in after
+        model.projections[1][:] = bad
         with pytest.raises(NumericError, match="view 1"):
             mv.project(model, ds)
 

@@ -4,8 +4,9 @@ import pytest
 import mvcontrast as mv
 from mvcontrast.errors import NumericError
 from mvcontrast.cli import gradcheck_instance
-from mvcontrast.gradients import (check_gradients, column_context, grad_P,
-                                  grad_w, view_subobjectives)
+from mvcontrast import losses
+from mvcontrast.gradients import (check_gradients, column_context, cosine_backward,
+                                  grad_P, grad_w, view_subobjectives)
 from oracles import (fd_gradient, naive_w_subobjective, per_column_check,
                      per_column_grad_w, random_instance, reconstruction_grad_P)
 
@@ -160,6 +161,55 @@ class TestGradW:
                 ref = per_column_grad_w(i, m, P, W, ds, h)
                 assert np.linalg.norm(G[:, i] - ref) <= 1e-12 * np.linalg.norm(ref)
                 assert np.array_equal(grad_w(i, m, P, W, ds, h, ctx=G), G[:, i])
+
+
+class TestCosineBackward:
+    def test_matches_finite_differences(self):
+        # the gradients of <omega, S(A, B)>; a zero column's norm is not
+        # smooth, so its central difference is off by about step ||b|| /
+        # norm_eps, which norm_eps = 1 keeps below the tolerance
+        rng = np.random.default_rng(5)
+        A, B, omega = (rng.normal(size=shape) for shape in ((4, 5), (4, 6), (5, 6)))
+        A[:, 2] = 0.0
+        B[:, 4] = 0.0
+        tau, norm_eps = 0.7, 1.0
+        na, nb = np.linalg.norm(A, axis=0), np.linalg.norm(B, axis=0)
+        S, spent = losses.similarity(A, B, na, nb, tau, norm_eps), omega.copy()
+        ra, rb = cosine_backward(S, spent, na, nb, tau, norm_eps)
+
+        def value(a, b):
+            return float(np.sum(omega * losses.sim_matrix(a, b, tau, norm_eps)))
+
+        for analytic, numeric in [
+                (B @ spent.T - A * ra,
+                 fd_gradient(lambda a: value(a.reshape(A.shape), B), A.ravel(), 1e-6)),
+                (A @ spent - B * rb,
+                 fd_gradient(lambda b: value(A, b.reshape(B.shape)), B.ravel(), 1e-6))]:
+            assert np.max(np.abs(analytic.ravel() - numeric)) < 1e-5 * np.max(np.abs(numeric))
+
+    @pytest.mark.parametrize("V", [2, 3])
+    def test_column_context_uses_the_structural_similarity(self, monkeypatch, V):
+        # each S column_context builds is the one structural_contrastive
+        # builds for the pair (v, m), bit for bit, a zero column included
+        ds, P, W = random_instance(60 + V, n=7, V=V, dims=(4, 3, 5)[:V])
+        h = hyper(tau2=0.6)
+        true_similarity, built = losses.similarity, []
+
+        def spy(*args, **kwargs):
+            S = true_similarity(*args, **kwargs)
+            built.append(S.copy())
+            return S
+
+        for m in range(V):
+            W.W[m][:, m + 1] = 0.0
+            expected = [losses.sim_matrix(W.W[v], W.W[m], h.tau2, h.norm_eps)
+                        for v in range(V) if v != m]
+            built.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(losses, "similarity", spy)
+                column_context(m, P, W, ds, h)
+            assert len(built) == V - 1
+            assert all(np.array_equal(S, ref) for S, ref in zip(built, expected))
 
 
 class TestGradP:

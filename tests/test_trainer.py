@@ -331,17 +331,20 @@ class TestModelPersistence:
 
     # a name keys its projection file, so a repeated or path-like one would
     # overwrite a file or write outside the directory; a projection of other
-    # than hyper.d columns would save a manifest that load_model rejects
-    @pytest.mark.parametrize("names,columns,message", [
-        (["a", "a"], [2, 2], "view names must be distinct"),
-        (["../x", "b"], [2, 2], "view names must be distinct"),
-        ([], [2, 1], r"projections must be .* hyper.d=2 columns, got shapes "
-                     r"\[\(3, 2\), \(3, 1\)\]"),
-    ], ids=["repeated name", "path-like name", "mixed d"])
-    def test_unsaveable_model_rejected(self, tmp_path, names, columns, message):
+    # than hyper.d columns, or a non-finite one, would save a manifest that
+    # load_model rejects
+    @pytest.mark.parametrize("names,projections,message", [
+        (["a", "a"], [np.eye(3)[:, :2]] * 2, "view names must be distinct"),
+        (["../x", "b"], [np.eye(3)[:, :2]] * 2, "view names must be distinct"),
+        ([], [np.eye(3)[:, :2], np.eye(3)[:, :1]],
+         r"projections must be .* hyper.d=2 columns, got shapes \[\(3, 2\), \(3, 1\)\]"),
+        ([], [np.eye(3)[:, :2], np.full((3, 2), np.nan)],
+         "projections must be non-empty finite matrices"),
+    ], ids=["repeated name", "path-like name", "mixed d", "non-finite"])
+    def test_unsaveable_model_rejected(self, tmp_path, names, projections, message):
         with pytest.raises(mv.ConfigError, match=message):
-            mv.save_model(mv.Model(projections=[np.eye(3)[:, :k] for k in columns],
-                                   hyper=hyper(), meta={}, view_names=names),
+            mv.save_model(mv.Model(projections=projections, hyper=hyper(), meta={},
+                                   view_names=names),
                           tmp_path / "model")
         assert list(tmp_path.iterdir()) == []
 
