@@ -26,26 +26,22 @@ def cmd_synth(args, cfg):
         raise ConfigError("synth subcommand needs a dataset.synth section")
     ds = data.load_dataset(**cfg.dataset)
     data.save_views(ds, args.out)
-    cfg.write_echo(args.out)
     print(f"wrote {ds.V} views ({ds.n} samples) to {args.out}")
     return 0
 
 
 def cmd_train(args, cfg):
-    os.makedirs(args.out, exist_ok=True)  # a bad path fails before the fit
     ds = data.load_dataset(**cfg.dataset)
     model, state = trainer.fit(ds, cfg.hyper, seed=cfg.experiment["base_seed"])
     trainer.save_model(model, args.out)
     data.write_matrix(os.path.join(args.out, "loss_history.csv"),
                       [*enumerate(state.loss_history)], header="iteration,total_loss")
-    cfg.write_echo(args.out)
     print(f"trained {state.iter} iterations, final loss "
           f"{state.loss_history[-1]:.6f}, model in {args.out}")
     return 0
 
 
 def cmd_eval(args, cfg):
-    os.makedirs(args.out, exist_ok=True)  # a bad path fails before the protocol
     ds = data.load_dataset(**cfg.dataset)
     fixed_model = trainer.load_model(args.model) if args.model else None
     table = evaluation.run_protocol(ds, cfg.hyper, **cfg.experiment,
@@ -54,7 +50,6 @@ def cmd_eval(args, cfg):
         with open(os.path.join(args.out, f"results.{fmt}"), "w",
                   encoding="utf-8") as fh:
             fh.write(evaluation.FORMATS[fmt](table))
-    cfg.write_echo(args.out)
     print(table.to_text(), end="")
     return 0
 
@@ -113,47 +108,50 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
+# name: (function, help, the options only it takes, whether it writes to --out)
+COMMANDS = {
+    "synth": (cmd_synth, "generate synthetic multi-view CSV data", {}, True),
+    "train": (cmd_train, "fit a model", {}, True),
+    "eval": (cmd_eval, "run the repeated-split 1-NN protocol",
+             {"--model": {"default": None,
+                          "help": "evaluate this pre-trained model instead of "
+                                  "refitting per repeat"}}, True),
+    "gradcheck": (cmd_gradcheck, "finite-difference gradient check",
+                  {"--step": {"type": float, "default": 1e-6}}, False),
+    "diagnose": (cmd_diagnose, "verify reconstruction-term identities",
+                 {"--trials": {"type": int, "default": 20}}, False),
+}
+
+
 def build_parser():
     parser = _Parser(
         prog="mvcontrast",
         description="Multi-view feature extraction with dual contrastive losses")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("synth", help="generate synthetic multi-view CSV data")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("train", help="fit a model")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("eval", help="run the repeated-split 1-NN protocol")
-    p.add_argument("--config", required=True)
-    p.add_argument("--model", default=None,
-                   help="evaluate this pre-trained model instead of "
-                        "refitting per repeat")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("gradcheck", help="finite-difference gradient check")
-    p.add_argument("--config", required=True)
-    p.add_argument("--step", type=float, default=1e-6)
-    p.set_defaults(func=cmd_gradcheck)
-
-    p = sub.add_parser("diagnose", help="verify reconstruction-term identities")
-    p.add_argument("--config", required=True)
-    p.add_argument("--trials", type=int, default=20)
-    p.set_defaults(func=cmd_diagnose)
+    for name, (_, help_text, options, writes) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", required=True)
+        for flag, kwargs in options.items():
+            p.add_argument(flag, **kwargs)
+        if writes:
+            p.add_argument("--out", required=True)
     return parser
 
 
 def main(argv=None):
+    """Run one subcommand; a writing one's --out is made before it runs (so a
+    bad path fails before any work) and gets run.json after it succeeds."""
     try:
         args = build_parser().parse_args(argv)
+        func, _, _, writes = COMMANDS[args.command]
         with numeric_errors():
-            return args.func(args, parse_config(args.config))
+            cfg = parse_config(args.config)
+            if writes:
+                os.makedirs(args.out, exist_ok=True)
+            code = func(args, cfg)
+            if writes:
+                cfg.write_echo(args.out)
+            return code
     except OSError as exc:
         # the readers wrap their own OSErrors, so this one came from an output
         error = ConfigError(f"cannot write output: {exc}")

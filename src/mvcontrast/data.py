@@ -118,7 +118,7 @@ def read_matrix(path):
     the same number of comma-separated numbers.  `#` is not a comment.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             rows = (line for line in fh if line.strip())
             first = next(rows, None)
             if first is None:
@@ -172,7 +172,7 @@ def _unique_keys(pairs):
 def read_json(path, what, error):
     """The JSON at `path`, or `error` naming `what` if it cannot be read or parsed."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise error(f"cannot read {what} {path}: {exc}") from exc

@@ -121,6 +121,12 @@ class TestBuildConfig:
             with open(echo, "rb") as a, open(again, "rb") as b:
                 assert a.read() == b.read()
 
+    def test_byte_order_mark_skipped(self, tmp_path):
+        # spreadsheets and some editors save UTF-8 with a leading BOM
+        path = tmp_path / "bom.json"
+        path.write_bytes(b"\xef\xbb\xbf" + json.dumps(SYNTH_SMALL).encode("utf-8"))
+        assert parse_config(str(path)) == build_config(SYNTH_SMALL)
+
     def test_parse_config_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             parse_config(str(tmp_path / "absent.json"))
@@ -481,12 +487,13 @@ class TestUnwritableOutput:
         code, _, err = run_module("eval", "--config", cfg, "--out", str(out))
         self.check(code, err, out)
 
-    def test_eval_without_out_exit_1(self, tmp_path):
+    @pytest.mark.parametrize("command", ["synth", "train", "eval"])
+    def test_without_out_exit_1(self, tmp_path, command):
         cfg = write_config(tmp_path / "c.json", SYNTH_SMALL)
-        code, out, err = run_module("eval", "--config", cfg)
+        code, out, err = run_module(command, "--config", cfg)
         assert code == 1 and out == ""
-        assert ("error: ConfigError: mvcontrast eval: the following arguments are "
-                "required: --out") in err
+        assert (f"error: ConfigError: mvcontrast {command}: the following arguments "
+                "are required: --out") in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["train", "eval"])
@@ -500,6 +507,34 @@ class TestUnwritableOutput:
         out = tmp_path / "taken" / "sub"
         assert main([command, "--config", cfg, "--out", str(out)]) == 1
         self.check(1, capsys.readouterr().err, out)
+
+
+class TestOutputDirectory:
+    """`main` makes a writing command's --out before the command runs and
+    writes run.json into it only after the command succeeds."""
+
+    @pytest.mark.parametrize("command", ["synth", "train", "eval"])
+    def test_run_json_echoes_the_config(self, tmp_path, capsys, command):
+        cfg, out = write_config(tmp_path / "c.json", SYNTH_SMALL), tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        echo = build_config(SYNTH_SMALL).write_echo(tmp_path / "echo")
+        assert (out / "run.json").read_bytes() == pathlib.Path(echo).read_bytes()
+
+    @pytest.mark.parametrize("command,edit,code", [
+        ("synth", lambda obj, views: obj, 1),
+        ("train", lambda obj, views: dict(obj, hyper={"gamma": 1e-300}), 3),
+        ("eval", lambda obj, views: dict(obj, dataset={"views": [
+            views[0], views[0] + ".missing"]}), 2),
+    ], ids=["no synth section", "zero step", "missing view file"])
+    def test_failure_leaves_out_without_run_json(self, tmp_path, capsys, command,
+                                                 edit, code):
+        _, views, label_path = write_file_dataset(tmp_path)
+        obj = dict(SYNTH_SMALL, dataset={"views": views, "labels": label_path})
+        cfg = write_config(tmp_path / "e.json", edit(obj, views))
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out)]) == code
+        assert "error: " in capsys.readouterr().err
+        assert out.is_dir() and os.listdir(out) == []
 
 
 BAD_MATRIX_FILES = {

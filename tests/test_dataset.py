@@ -96,6 +96,24 @@ class TestLoadViews:
             assert np.array_equal(v0, v1)
         assert np.array_equal(ds.labels, back.labels)
 
+    def test_byte_order_mark_skipped(self, tmp_path):
+        # spreadsheets save CSV as UTF-8 with a leading BOM
+        ds = mv.synth_blobs(2, 3, 4, [3, 2], 0.7, 5)
+        paths, label_path = mv.save_views(ds, tmp_path)
+        for path in map(pathlib.Path, [*paths, label_path]):
+            path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        back = mv.load_views(paths, label_path)
+        for v0, v1 in zip(ds.views, back.views):
+            assert np.array_equal(v0, v1)
+        assert np.array_equal(ds.labels, back.labels)
+
+    def test_bytes_not_utf8_named(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_bytes(b"1,2\n\xff,4\n")
+        with pytest.raises(DataError, match=re.escape(
+                f"{path}: 'utf-8' codec can't decode byte 0xff")):
+            data.read_matrix(path)
+
 
 def savetxt_bytes(path, matrix):
     np.savetxt(path, matrix, fmt="%.17g", delimiter=",")
