@@ -1,18 +1,10 @@
-"""Command-line front end.
-
-Subcommands:
-  synth      write synthetic views + labels as CSV
-  train      fit a model, write its manifest and the loss history
-  eval       run the repeated-split 1-NN protocol, write the results table
-  gradcheck  compare analytic gradients to central differences along random
-             directions on a small seeded instance (exit 0 iff max relative
-             error <= 1e-4)
-  diagnose   check the reconstruction-term identities on seeded fixtures
-"""
+"""Command-line front end: `COMMANDS` below describes each subcommand, as
+`mvcontrast --help` prints it."""
 
 import argparse
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -31,13 +23,15 @@ def cmd_synth(args, cfg):
 
 
 def cmd_train(args, cfg):
+    # the wall time goes to stdout only, so a rerun writes the same files
+    t0 = time.perf_counter()
     ds = data.load_dataset(**cfg.dataset)
     model, state = trainer.fit(ds, cfg.hyper, seed=cfg.experiment["base_seed"])
     trainer.save_model(model, args.out)
     data.write_matrix(os.path.join(args.out, "loss_history.csv"),
                       [*enumerate(state.loss_history)], header="iteration,total_loss")
-    print(f"trained {state.iter} iterations, final loss "
-          f"{state.loss_history[-1]:.6f}, model in {args.out}")
+    print(f"trained {state.iter} iterations in {time.perf_counter() - t0:.2f} s, "
+          f"final loss {state.loss_history[-1]:.6f}, model in {args.out}")
     return 0
 
 
@@ -110,15 +104,18 @@ class _Parser(argparse.ArgumentParser):
 
 # name: (function, help, the options only it takes, whether it writes to --out)
 COMMANDS = {
-    "synth": (cmd_synth, "generate synthetic multi-view CSV data", {}, True),
-    "train": (cmd_train, "fit a model", {}, True),
-    "eval": (cmd_eval, "run the repeated-split 1-NN protocol",
+    "synth": (cmd_synth, "write synthetic views and labels as CSV", {}, True),
+    "train": (cmd_train, "fit a model; write its manifest and loss history", {}, True),
+    "eval": (cmd_eval, "run the repeated-split 1-NN protocol; write the results table",
              {"--model": {"default": None,
                           "help": "evaluate this pre-trained model instead of "
                                   "refitting per repeat"}}, True),
-    "gradcheck": (cmd_gradcheck, "finite-difference gradient check",
+    "gradcheck": (cmd_gradcheck, "compare analytic gradients to central differences "
+                  "along random directions on a small seeded instance; exit 0 iff "
+                  f"the max relative error is <= {GRADCHECK_TOL:g}, else 3",
                   {"--step": {"type": float, "default": 1e-6}}, False),
-    "diagnose": (cmd_diagnose, "verify reconstruction-term identities",
+    "diagnose": (cmd_diagnose, "check the reconstruction-term identities on seeded "
+                 "fixtures; print the residuals as CSV and exit 3 if one fails",
                  {"--trials": {"type": int, "default": 20}}, False),
 }
 

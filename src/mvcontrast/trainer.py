@@ -8,7 +8,6 @@ The loop stops when the total loss changes by at most `tol` or after
 """
 
 import os
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -135,7 +134,6 @@ def fit(ds, h, seed):
     rounds to 0, raises NumericError naming the iteration, 0 for the initial
     loss, rather than letting the steps stall into a false convergence.
     """
-    t0 = time.perf_counter()
     converged = False
     with numeric_errors("in iteration 0") as guard:
         state = init_state(ds, h, seed)
@@ -162,7 +160,6 @@ def fit(ds, h, seed):
             "iterations": state.iter,
             "converged": converged,
             "final_loss": state.loss_history[-1],
-            "wall_clock_s": time.perf_counter() - t0,
         },
         view_names=ds.view_names)
     return model, state

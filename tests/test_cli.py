@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import mvcontrast as mv
-from mvcontrast.cli import main
+from mvcontrast.cli import COMMANDS, main
 from mvcontrast.config import build_config, parse_config
 from mvcontrast.errors import ConfigError, DataError
 from mvcontrast.evaluation import FORMATS
@@ -366,6 +366,12 @@ class TestGradcheckDiagnose:
     def test_help_exit_0(self):
         code, out, err = run_module("gradcheck", "--help")
         assert code == 0 and "usage:" in out and err == ""
+        # COMMANDS holds the one description of each subcommand
+        code, out, err = run_module("--help")
+        assert code == 0 and err == ""
+        words = " ".join(out.split())
+        assert [name for name, (_, help_text, _, _) in COMMANDS.items()
+                if f" {name} {help_text} " not in words] == []
 
     def test_config_error_exit_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", {"dataset": {}})

@@ -320,6 +320,9 @@ class TestModelPersistence:
         assert manifest["view_dims"] == [4, 3]
         assert manifest["d"] == 2
         assert manifest["meta"]["seed"] == 3
+        # no clock reading, so a refit writes the same manifest
+        assert sorted(manifest["meta"]) == ["converged", "final_loss", "iterations",
+                                            "seed"]
         assert manifest["hyperparams"]["gamma"] == 0.001
 
     def test_one_name_per_projection(self, tmp_path):
