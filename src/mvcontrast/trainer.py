@@ -176,8 +176,6 @@ def save_model(model, directory):
     manifest = {
         "projection_files": files,
         "view_names": model.view_names,
-        "view_dims": [int(p.shape[0]) for p in model.projections],
-        "d": model.hyper.d,
         "hyperparams": model.hyper.as_dict(),
         "meta": model.meta,
     }
@@ -189,23 +187,14 @@ def load_model(model_dir):
     path = os.path.join(model_dir, "manifest.json")
     manifest = read_json(path, "model manifest", DataError)
     try:
-        h = Hyperparams(**manifest["hyperparams"])
-        shapes = [(dim, manifest["d"]) for dim in manifest["view_dims"]]
         files = manifest["projection_files"]
         if not all(os.path.basename(f) == f not in ("", ".", "..") for f in files):
             raise DataError(f"model manifest {path}: projection_files must be plain "
                             f"file names, got {files!r}")
-        if len(files) != len(shapes):
-            raise DataError(f"model manifest {path}: {len(files)} projection_files, "
-                            f"{len(shapes)} view_dims")
-        projections = []
-        for p, shape in zip([os.path.join(model_dir, f) for f in files], shapes):
-            Pm = read_matrix(p)
-            if Pm.shape != shape:
-                raise DataError(f"{p}: shape {Pm.shape} does not match manifest")
-            projections.append(Pm)
-        return Model(projections=projections, hyper=h, meta=manifest.get("meta", {}),
-                     view_names=manifest["view_names"])
+        return Model(projections=[read_matrix(os.path.join(model_dir, f))
+                                  for f in files],
+                     hyper=Hyperparams(**manifest["hyperparams"]),
+                     meta=manifest.get("meta", {}), view_names=manifest["view_names"])
     except KeyError as exc:
         raise DataError(f"model manifest {path} lacks key {exc}") from None
     except (TypeError, ConfigError) as exc:

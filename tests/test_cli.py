@@ -557,29 +557,36 @@ BAD_MATRIX_FILES = {
     "overflowing cell": "1,2,3,4\n" * 5 + "5,6,1e999,8\n" * 3,
 }
 
+# each row: the file to edit, the edit, and None where load_model rejects the
+# result, or else the message of eval's rejection: a self-consistent model
+# loads, and fails only against the data
 BAD_MODEL_FILES = {
-    "bad manifest JSON": ("manifest.json", lambda text: text[:-2]),
+    "bad manifest JSON": ("manifest.json", lambda text: text[:-2], None),
     "missing manifest key": ("manifest.json", lambda text: text.replace(
-        '"view_dims"', '"dims"')),
+        '"view_names"', '"names"'), None),
     "unknown hyperparameter": ("manifest.json", lambda text: text.replace(
-        '"gamma"', '"learning_rate"')),
+        '"gamma"', '"learning_rate"'), None),
     "repeated hyperparameter": ("manifest.json", lambda text: text.replace(
-        '"gamma":', '"gamma": 0.5, "gamma":')),
+        '"gamma":', '"gamma": 0.5, "gamma":'), None),
     "non-numeric projection": ("projection_view0.csv",
-                               lambda text: "1,0\n0,x\n0,0\n0,0\n"),
-    "view_dims one short": ("manifest.json", lambda text: json.dumps(
-        dict(json.loads(text), view_dims=[4]))),
+                               lambda text: "1,0\n0,x\n0,0\n0,0\n", None),
+    "projection_files one short": ("manifest.json", lambda text: json.dumps(
+        dict(json.loads(text), projection_files=["projection_view0.csv"])), None),
     "view_names one short": ("manifest.json", lambda text: json.dumps(
-        dict(json.loads(text), view_names=["view0"]))),
+        dict(json.loads(text), view_names=["view0"])), None),
     "non-finite projection": ("projection_view0.csv",
-                              lambda text: "1,0\n0,nan\n0,0\n0,inf\n"),
+                              lambda text: "1,0\n0,nan\n0,0\n0,inf\n", None),
     # the file exists and holds view0's projection, but outside the model
     "projection file outside the model": ("manifest.json", lambda text: text.replace(
-        '"projection_view0.csv"', '"../model/projection_view0.csv"')),
+        '"projection_view0.csv"', '"../model/projection_view0.csv"'), None),
     "view_names as a string": ("manifest.json", lambda text: json.dumps(
-        dict(json.loads(text), view_names="ab"))),
+        dict(json.loads(text), view_names="ab")), None),
     "hyperparameter d unlike the projections": ("manifest.json", lambda text: json.dumps(
-        dict(json.loads(text), hyperparams=dict(json.loads(text)["hyperparams"], d=1)))),
+        dict(json.loads(text), hyperparams=dict(json.loads(text)["hyperparams"], d=1))),
+        None),
+    "projection rows unlike the data": ("projection_view0.csv",
+                                        lambda text: text.split("\n", 1)[1],
+                                        "view 0: model expects dimension 3, data has 4"),
 }
 
 BAD_LABEL_FILES = {
@@ -614,19 +621,24 @@ class TestBadInputFiles:
         assert main(["eval", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
         assert "error: DataError" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("fname,edit", BAD_MODEL_FILES.values(),
+    @pytest.mark.parametrize("fname,edit,eval_message", BAD_MODEL_FILES.values(),
                              ids=BAD_MODEL_FILES.keys())
-    def test_bad_model_file_exit_2(self, tmp_path, capsys, fname, edit):
+    def test_bad_model_file_exit_2(self, tmp_path, capsys, fname, edit, eval_message):
         cfg, _, _ = write_file_dataset(tmp_path)
         model_dir = tmp_path / "model"
         mv.load_model(model_dir)
         path = model_dir / fname
         path.write_text(edit(path.read_text()))
-        with pytest.raises(DataError):
+        if eval_message is None:
+            with pytest.raises(DataError):
+                mv.load_model(model_dir)
+        else:
             mv.load_model(model_dir)
         assert main(["eval", "--config", cfg, "--model", str(model_dir),
                      "--out", str(tmp_path / "r")]) == 2
-        assert "error: DataError" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error: DataError" in err
+        assert eval_message is None or eval_message in err
 
     # a view's name is its file's stem, and one field of its results.csv row
     @pytest.mark.parametrize("stem", ["a,b", '"a"', "a\nb"],

@@ -190,6 +190,34 @@ class TestStructuralContrastive:
             terms = mv.losses._structural_terms(Wm, Wv, h)
             assert np.max(np.abs(terms - scatter)) <= 2 * norm_eps / tau2 + 1e-13
 
+    # The sample head splits the same way on Y's columns and tau1: with unit
+    # columns, anchor i of view m contributes
+    # log sum_{v != m, k} exp(-|y_i^m - y_k^v|^2 / (2 tau1))   (inter)
+    #   - log sum_{v != m} exp(-|y_i^m - y_i^v|^2 / (2 tau1))  (intra),
+    # the 1/tau1 that both log-sums hold cancelling.  norm_eps moves each
+    # log-sum by at most norm_eps / tau1, so each view's mean by 2 norm_eps / tau1.
+    @pytest.mark.parametrize("norm_eps", [1e-300, 1e-12])
+    def test_sample_head_splits_into_intra_and_inter_scatter(self, norm_eps):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            V, n, dim = (int(rng.integers(*r)) for r in ((2, 5), (1, 15), (1, 5)))
+            tau1 = float(rng.uniform(0.1, 2.0))
+            Y = [y / np.linalg.norm(y, axis=0) for y in rng.normal(size=(V, dim, n))]
+            P = mv.ProjectionStack.from_blocks([np.eye(dim)] * V)
+            h = uniform_hyper(d=dim, tau1=tau1, norm_eps=norm_eps)
+            expected = 0.0
+            for m in range(V):
+                # sq[i, j, k] = |y_i^m - y_k^v|^2 / (2 tau1), v the j-th view but m
+                sq = np.stack([np.sum((Y[m][:, :, None] - Y[v][:, None, :]) ** 2,
+                                      axis=0) for v in range(V) if v != m],
+                              axis=1) / (2 * tau1)
+                inter = np.log(np.sum(np.exp(-sq), axis=(1, 2)))
+                intra = -np.log(np.sum(np.exp(-np.diagonal(sq, axis1=0, axis2=2)),
+                                       axis=0))
+                expected += np.mean(inter + intra)
+            loss = mv.sample_infonce(P, mv.MultiViewDataset(views=Y), h)
+            assert abs(loss - expected) <= V * 2 * norm_eps / tau1 + 1e-12
+
 
 class TestReconstructionPenalty:
     def test_zero_coefficients(self):
